@@ -18,6 +18,7 @@ from .modelfile import load_model, save_model
 from .rules import (
     RuleApplication,
     RuleKind,
+    apply_candidate,
     apply_shared_superclass_rule,
     exploit_multiple_inheritance,
     pull_up_props,
@@ -41,6 +42,7 @@ __all__ = [
     "RuleApplication",
     "RuleKind",
     "TypeRef",
+    "apply_candidate",
     "apply_shared_superclass_rule",
     "common_props",
     "duplication_count",

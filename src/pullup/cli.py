@@ -24,6 +24,16 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pullup",
@@ -41,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--min-subclasses",
-        type=int,
+        type=_positive_int,
         default=2,
         metavar="N",
         help="rule-1 guard: minimum subclasses sharing the keys (default 2)",

@@ -1,18 +1,43 @@
 """Fixpoint driver: applies the rules until nothing changes, then optionally
 runs the multiple-inheritance pass, and reports what happened.
+
+Each outer pass sweeps rules 1 and 2 over the superclasses in entity order,
+then tries rule 3 once on the top-level classes; the core fixpoint ends with
+the first pass that fires nothing. The passes are incremental, yet fire
+exactly what re-ranking everything in every pass would:
+
+* A superclass whose rules-1/2 attempt fired nothing is not ranked again
+  until a firing changes one of that attempt's inputs: its own declarations,
+  its set of direct subclasses, or the declarations of one of them. Each
+  firing marks its sources and its target, and all direct superclasses of
+  each, as dirty. A sweep visits only dirty superclasses, in entity order:
+  one marked ahead of the sweep is still visited in it, one marked behind it
+  or created during it waits for the next pass.
+* Rule 3 reads its candidate from a :class:`~pullup.analysis.SharingIndex`
+  over the top-level classes instead of ranking all of them in every pass.
+  The index is built on the first rule-3 attempt and then updated from the
+  sources and the target of each firing.
+
+The dirty marks and the index are dropped when the core fixpoint ends,
+before the multiple-inheritance pass. ``tests/reference_engine.py`` keeps the
+full re-ranking loop; the tests hold this engine to the same output bytes,
+pass count and firings.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from heapq import heapify, heappop, heappush
+from typing import Iterator, Optional
 
-from .errors import IterationLimitExceeded
+from .analysis import SharingIndex
+from .errors import IterationLimitExceeded, RuleError
 from .metrics import MetricsSnapshot, snapshot
 from .model import ClassModel
 from .rules import (
     RuleApplication,
+    apply_candidate,
     apply_shared_superclass_rule,
     exploit_multiple_inheritance,
 )
@@ -41,6 +66,58 @@ class RestructureReport:
         return len(self.created_entities)
 
 
+class _CoreState:
+    """What the core passes remember between firings: the dirty entities
+    and the top-level sharing index.
+
+    Entity ids grow in entity order (the model appends every new entity with
+    the next id), so a sweep orders its worklist by id.
+    """
+
+    def __init__(self, model: ClassModel) -> None:
+        self.model = model
+        ids = model.entity_ids()
+        self.dirty: set[int] = set(ids)
+        self.index: Optional[SharingIndex] = None
+        self._newest = ids[-1] if ids else 0
+        # The running sweep's worklist; ids in (cursor, limit] are ahead of it.
+        self._queue: list[int] = []
+        self._cursor = self._limit = 0
+
+    def sweep(self) -> Iterator[int]:
+        """Yield the dirty entities that exist now, in entity order, each
+        unmarked as it is yielded."""
+        self._limit = limit = self._newest
+        queue = self._queue = [eid for eid in self.dirty if eid <= limit]
+        heapify(queue)
+        while queue:
+            eid = heappop(queue)
+            self.dirty.discard(eid)
+            self._cursor = eid
+            yield eid
+        self._cursor = self._limit = 0
+        # A set keeps its table size as it empties and iterating it walks the
+        # whole table, so compact it after each sweep.
+        self.dirty = set(self.dirty)
+
+    def touch(self, app: RuleApplication) -> None:
+        """Mark what ``app`` changed and update the index with it."""
+        model = self.model
+        changed = {app.target, *app.sources}
+        hit = set(changed)
+        for eid in changed:
+            hit.update(model.direct_superclasses(eid))
+        if app.created is not None:
+            self._newest = max(self._newest, app.created)
+        for eid in hit:
+            if eid not in self.dirty:
+                self.dirty.add(eid)
+                if self._cursor < eid <= self._limit:
+                    heappush(self._queue, eid)
+        if self.index is not None:
+            self.index.update(changed)
+
+
 def _record(
     model: ClassModel,
     options: EngineOptions,
@@ -50,11 +127,9 @@ def _record(
 ) -> bool:
     if app is None:
         return False
-    if options.min_subclasses >= 2:
+    if options.min_subclasses >= 2 and model.declared_property_count >= decls_before:
         # Termination potential: every firing must remove declarations.
-        assert model.declared_property_count < decls_before, (
-            f"rule application did not decrease declarations: {app}"
-        )
+        raise RuleError(f"rule application did not decrease declarations: {app}")
     if options.trace:
         log.info(
             "%s keys=%s sources=%s target=%s",
@@ -72,19 +147,25 @@ def pass_rules_1_2(
     model: ClassModel,
     options: EngineOptions,
     applications: Optional[list[RuleApplication]] = None,
+    state: Optional[_CoreState] = None,
 ) -> bool:
-    """One sweep of rules 1 and 2 over a snapshot of the entity list.
+    """One sweep of rules 1 and 2 over the superclasses ``state`` marks dirty
+    (without a ``state``, over all of them), in entity order.
 
     Entities created mid-pass are not visited until the next pass.
     """
+    if state is None:
+        state = _CoreState(model)
     applied = False
-    for eid in model.entity_ids():
+    for eid in state.sweep():
         subs = model.direct_subclasses(eid)
         if not subs:
             continue
         decls = model.declared_property_count
         app = apply_shared_superclass_rule(model, eid, subs, options.min_subclasses)
-        applied |= _record(model, options, applications, app, decls)
+        if _record(model, options, applications, app, decls):
+            state.touch(app)
+            applied = True
     return applied
 
 
@@ -92,12 +173,22 @@ def pass_rule_3(
     model: ClassModel,
     options: EngineOptions,
     applications: Optional[list[RuleApplication]] = None,
+    state: Optional[_CoreState] = None,
 ) -> bool:
     """One rule-3 attempt over the current top-level classes."""
-    tops = {eid for eid in model.entity_ids() if model.is_top_level(eid)}
+    if state is None:
+        state = _CoreState(model)
+    if state.index is None:
+        state.index = SharingIndex(model)
+    candidate = state.index.top()
+    if candidate is None:
+        return False
     decls = model.declared_property_count
-    app = apply_shared_superclass_rule(model, None, tops, options.min_subclasses)
-    return _record(model, options, applications, app, decls)
+    app = apply_candidate(model, None, candidate, options.min_subclasses)
+    if not _record(model, options, applications, app, decls):
+        return False
+    state.touch(app)
+    return True
 
 
 def restructure(
@@ -110,12 +201,15 @@ def restructure(
     metrics snapshots from before and after.
     """
     options = options or EngineOptions()
+    if options.min_subclasses < 1:
+        raise RuleError("min_subclasses must be >= 1")
     before = snapshot(model)
     applications: list[RuleApplication] = []
+    state = _CoreState(model)
     iterations = 0
     while True:
-        r12 = pass_rules_1_2(model, options, applications)
-        r3 = pass_rule_3(model, options, applications)
+        r12 = pass_rules_1_2(model, options, applications, state)
+        r3 = pass_rule_3(model, options, applications, state)
         iterations += 1
         if not (r12 or r3):
             break
@@ -124,6 +218,7 @@ def restructure(
             raise IterationLimitExceeded(
                 f"no fixpoint after {iterations} iterations", report=report
             )
+    del state  # free the sharing index before the multiple-inheritance pass
     if options.multi_inheritance:
         last = [model.declared_property_count]
 

@@ -1,9 +1,13 @@
 """The restructuring rules.
 
-``apply_shared_superclass_rule`` covers the three core rules:
+``apply_shared_superclass_rule`` ranks the candidates among some classes and
+``apply_candidate`` fires the rule the top one calls for; together they
+cover the three core rules:
 
 * rule 1 - the top candidate is shared by *all* given classes and a common
-  superclass exists: move the keys into that superclass.
+  superclass exists: move the keys into that superclass. A superclass that
+  already declares one of the key names keeps its declarations; rule 2 then
+  gives all of its subclasses a new intermediate superclass instead.
 * rule 2 - a strict subset (>= 2) of a superclass's direct subclasses shares
   the keys: insert a new intermediate superclass below the old one.
 * rule 3 - no superclass given (top-level classes): create a new common
@@ -22,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional, Sequence
 
-from .analysis import common_props, prop_type_set
+from .analysis import Candidate, common_props, prop_type_set
 from .errors import RuleError
 from .model import ClassModel, Origin, PropKey
 
@@ -72,7 +76,14 @@ def pull_up_props(
                 f"target {model.entity(target).name} already declares "
                 f"property {key.prop_name}"
             )
-    for sid in source_ids:
+    _check_sources(model, keys, source_ids)
+    _move_keys(model, keys, source_ids, target)
+
+
+def _check_sources(
+    model: ClassModel, keys: Sequence[PropKey], sources: AbstractSet[int]
+) -> None:
+    for sid in sources:
         own = prop_type_set(model, sid)
         for key in keys:
             if key not in own:
@@ -80,9 +91,14 @@ def pull_up_props(
                     f"source {model.entity(sid).name} does not declare "
                     f"({key.prop_name}, {key.type_name})"
                 )
+
+
+def _move_keys(
+    model: ClassModel, keys: Sequence[PropKey], sources: AbstractSet[int], target: int
+) -> None:
     for key in keys:
         model.add_property(target, key)
-        for sid in sorted(source_ids):
+        for sid in sorted(sources):
             model.delete_property(sid, key.prop_name)
 
 
@@ -96,11 +112,8 @@ def apply_shared_superclass_rule(
 
     With ``super_id`` set, ``classes`` must be exactly its direct subclasses
     (rules 1 and 2); with ``super_id`` absent they are the top-level classes
-    (rule 3). Returns ``None`` when no rule applies.
-
-    ``min_subclasses`` guards rule 1: the shared keys are only hoisted into
-    the existing superclass when at least that many subclasses carry them.
-    Value 1 restores the hoist-from-an-only-child behavior.
+    (rule 3). Returns ``None`` when no rule applies. The firing itself is
+    :func:`apply_candidate`'s.
     """
     if min_subclasses < 1:
         raise RuleError("min_subclasses must be >= 1")
@@ -120,20 +133,49 @@ def apply_shared_superclass_rule(
     ranking = common_props(model, class_ids)
     if not ranking:
         return None
-    candidate = ranking[0]
-    keys, owners = candidate.keys, candidate.owners
+    return apply_candidate(model, super_id, ranking[0], min_subclasses)
 
-    if super_id is not None and owners == class_ids and len(class_ids) >= min_subclasses:
-        pull_up_props(model, keys, owners, super_id)
-        return RuleApplication(RuleKind.RULE1, keys, owners, super_id)
+
+def apply_candidate(
+    model: ClassModel,
+    super_id: Optional[int],
+    candidate: Candidate,
+    min_subclasses: int = 2,
+) -> Optional[RuleApplication]:
+    """Fire the rule that ``candidate``, the top-ranked candidate among the
+    direct subclasses of ``super_id`` (or among the top-level classes when
+    ``super_id`` is absent), calls for; ``None`` when it calls for none.
+
+    Rule 1 hoists the keys into ``super_id`` when the candidate's owners are
+    all of its direct subclasses, at least ``min_subclasses`` of them (value 1
+    also hoists from an only child), and ``super_id`` declares none of the
+    key names. Otherwise two or more owners get a fresh common superclass:
+    rule 2 places it below ``super_id``, rule 3 at the top level.
+    """
+    keys, owners = candidate.keys, candidate.owners
+    if super_id is not None:
+        subs = model.direct_subclasses(super_id)
+        if not owners <= subs:
+            raise RuleError(
+                f"candidate owners are not direct subclasses of "
+                f"{model.entity(super_id).name}"
+            )
+        declared = model.entity(super_id).prop_names()
+        if (
+            owners == subs
+            and len(owners) >= min_subclasses
+            and not any(k.prop_name in declared for k in keys)
+        ):
+            pull_up_props(model, keys, owners, super_id)
+            return RuleApplication(RuleKind.RULE1, keys, owners, super_id)
 
     if len(owners) <= 1:
         return None
-
+    _check_sources(model, keys, owners)  # before the first mutation
     nc = model.create_entity()
-    pull_up_props(model, keys, owners, nc)
+    _move_keys(model, keys, owners, nc)
     for sid in sorted(owners):
-        if super_id is not None and model.has_generalization(sid, super_id):
+        if super_id is not None:
             model.delete_generalization(sid, super_id)
         model.add_generalization(sid, nc)
     if super_id is not None:

@@ -1,13 +1,17 @@
 import pytest
 
 from pullup.analysis import (
+    SharingIndex,
     common_props,
     entity_set_frequency,
     filter_by_properties,
     prop_type_set,
+    rank_key,
 )
 from pullup.errors import UnknownEntityError
+from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.model import PropKey
+from pullup.rules import apply_candidate, apply_shared_superclass_rule
 
 from conftest import build_model, names
 
@@ -146,3 +150,65 @@ def test_common_props_order_independent_of_entity_order():
     r1 = [(keyed(c), names(m1, c.owners)) for c in common_props(m1, m1.entity_ids())]
     r2 = [(keyed(c), names(m2, c.owners)) for c in common_props(m2, m2.entity_ids())]
     assert r1 == r2
+
+
+def test_rank_key_orders_size_then_frequency_then_names():
+    m = build_model({n: [] for n in ("A", "B", "C", "D")})
+    a, b, c, d = (m.entity_id(n) for n in "ABCD")
+    keys = [
+        rank_key(m, frozenset({b, c}), 1),
+        rank_key(m, frozenset({a, b, c}), 1),
+        rank_key(m, frozenset({c, d}), 2),
+        rank_key(m, frozenset({a, d}), 1),
+    ]
+    assert sorted(range(4), key=keys.__getitem__) == [1, 2, 3, 0]
+
+
+def _top_by_ranking(m):
+    tops = [eid for eid in m.entity_ids() if m.is_top_level(eid)]
+    ranking = common_props(m, tops)
+    return ranking[0] if ranking and len(ranking[0].owners) > 1 else None
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sharing_index_follows_rule3_firings(family):
+    m = generate_model(GeneratorSpec(family, 30, seed=4))
+    index = SharingIndex(m)
+    fired = 0
+    while True:
+        top = index.top()
+        assert top == _top_by_ranking(m)
+        if top is None:
+            break
+        app = apply_candidate(m, None, top)
+        index.update({app.target, *app.sources})
+        fired += 1
+    assert fired > 0 or family is Family.STAR_HIERARCHIES
+
+
+def test_sharing_index_follows_rule1_into_top_level_superclass():
+    m = build_model(
+        {"S": [], "A": ["a"], "B": ["a"], "X": ["a"], "Y": ["y"], "Z": ["y"]},
+        edges=[("A", "S"), ("B", "S")],
+    )
+    index = SharingIndex(m)
+    assert names(m, index.top().owners) == ["Y", "Z"]
+    s = m.entity_id("S")
+    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    index.update({app.target, *app.sources})
+    # The top-level S now declares a, like X; {S, X} ties with {Y, Z} on size
+    # and frequency and wins on names.
+    assert index.top() == _top_by_ranking(m)
+    assert names(m, index.top().owners) == ["S", "X"]
+
+
+def test_sharing_index_ranks_by_current_frequency():
+    m = build_model({"P": ["x", "y"], "Q": ["x", "y"], "C": ["z"], "D": ["z"]})
+    index = SharingIndex(m)
+    assert names(m, index.top().owners) == ["P", "Q"]  # two shared keys
+    p = m.entity_id("P")
+    m.delete_property(p, "y")
+    index.update({p})
+    # Both groups now share one key; the tie goes to the names.
+    assert index.top() == _top_by_ranking(m)
+    assert names(m, index.top().owners) == ["C", "D"]

@@ -108,3 +108,27 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "declarations   8" in proc.stdout
+
+
+@pytest.mark.parametrize("super_type", ["T", "U"])
+def test_restructure_rule1_name_conflict(tmp_path, super_type):
+    doc = (
+        f"classmodel v1\ntype T\ntype U\nentity S\n  prop a {super_type}\n"
+        "entity C1\n  prop a T\n  super S\nentity C2\n  prop a T\n  super S\n"
+    )
+    src = tmp_path / "in.model"
+    src.write_text(doc)
+    out = tmp_path / "out.model"
+    assert main(["restructure", str(src), "-o", str(out), "--multi-inheritance"]) == 0
+    result = load_model(out.read_bytes())
+    assert result.validate() == []
+    assert result.has_entity("NewClass1")
+
+
+def test_min_subclasses_zero_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.model"
+    args = ["restructure", str(FIXTURES / "left.model"), "-o", str(out)]
+    assert main(args + ["--min-subclasses", "0"]) == 2
+    assert main(args + ["--min-subclasses", "x"]) == 2
+    assert "--min-subclasses" in capsys.readouterr().err
+    assert not out.exists()

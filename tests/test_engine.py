@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from pullup import engine
 from pullup.engine import EngineOptions, pass_rule_3, pass_rules_1_2, restructure
-from pullup.errors import IterationLimitExceeded
-from pullup.metrics import duplicated_keys, duplication_count
+from pullup.errors import IterationLimitExceeded, RuleError
+from pullup.metrics import duplicated_keys, duplication_count, hierarchy_restriction_equal
 from pullup.model import Origin, PropKey
-from pullup.rules import RuleKind
+from pullup.rules import RuleApplication, RuleKind
 
 from conftest import build_model, left_example, names, right_example
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_pass_rules_1_2_single_rule1_firing():
@@ -134,3 +142,121 @@ def test_trace_logs_applications(caplog, left_model):
     with caplog.at_level(logging.INFO, logger="pullup.engine"):
         restructure(left_model, EngineOptions(trace=True))
     assert any("rule3" in rec.message or "rule3" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("super_type", ["T", "U"])
+@pytest.mark.parametrize("min_subclasses", [1, 2])
+@pytest.mark.parametrize("multi", [False, True])
+def test_restructure_rule1_name_conflict(super_type, min_subclasses, multi):
+    m = build_model(
+        {"S": [f"a:{super_type}"], "C1": ["a"], "C2": ["a"]},
+        edges=[("C1", "S"), ("C2", "S")],
+        types=("T", "U"),
+    )
+    original = m.clone()
+    options = EngineOptions(multi_inheritance=multi, min_subclasses=min_subclasses)
+    report = restructure(m, options)
+    assert report.applications[0].rule is RuleKind.RULE2
+    assert m.validate() == []
+    for name in ("C1", "C2"):
+        eid = m.entity_id(name)
+        assert m.flattened_props(eid) == original.flattened_props(eid)
+    assert hierarchy_restriction_equal(original, m)
+    if multi:
+        assert duplication_count(m) == 0
+    assert restructure(m, options).applications == []
+
+
+def test_restructure_rejects_min_subclasses_below_one(left_model):
+    before = left_model.clone()
+    with pytest.raises(RuleError):
+        restructure(left_model, EngineOptions(min_subclasses=0))
+    assert left_model == before
+
+
+def test_clean_superclasses_are_not_ranked_again(monkeypatch):
+    m = build_model(
+        {"S": [], "A": ["a"], "B": ["b"], "R": [], "C": ["c"], "D": ["c"]},
+        edges=[("A", "S"), ("B", "S"), ("C", "R"), ("D", "R")],
+    )
+    ranked = []
+    real = engine.apply_shared_superclass_rule
+
+    def spy(model, super_id, *args):
+        ranked.append(model.entity(super_id).name)
+        return real(model, super_id, *args)
+
+    monkeypatch.setattr(engine, "apply_shared_superclass_rule", spy)
+    state = engine._CoreState(m)
+    assert pass_rules_1_2(m, EngineOptions(), None, state) is True  # rule 1 on R
+    assert ranked == ["S", "R"]
+    ranked.clear()
+    assert pass_rules_1_2(m, EngineOptions(), None, state) is False
+    assert ranked == ["R"]  # R's declarations changed, S's inputs did not
+    ranked.clear()
+    assert pass_rules_1_2(m, EngineOptions(), None, state) is False
+    assert ranked == []
+
+
+def test_termination_guard_raises_rule_error(monkeypatch, left_model):
+    def idle(model, super_id, candidate, min_subclasses):
+        # Reports a firing without removing any declaration.
+        return RuleApplication(
+            RuleKind.RULE3, candidate.keys, candidate.owners, min(candidate.owners)
+        )
+
+    monkeypatch.setattr(engine, "apply_candidate", idle)
+    with pytest.raises(RuleError, match="did not decrease"):
+        restructure(left_model, EngineOptions(max_iterations=3))
+
+
+_GUARD_UNDER_O = """
+assert not __debug__
+from pullup import engine
+from pullup.engine import EngineOptions
+from pullup.errors import RuleError
+from pullup.model import ClassModel, PropKey
+from pullup.rules import RuleApplication, RuleKind
+
+def model():
+    m = ClassModel()
+    m.add_type("T")
+    s = m.add_entity("S")
+    for name, prop, sup in (("A", "a", s), ("B", "a", s), ("P", "p", None), ("Q", "p", None)):
+        eid = m.add_entity(name)
+        m.add_property(eid, PropKey(prop, "T"))
+        if sup is not None:
+            m.add_generalization(eid, sup)
+    return m
+
+def idle_rule(model, super_id, classes, min_subclasses):
+    return RuleApplication(RuleKind.RULE1, (PropKey("a", "T"),), frozenset(classes), super_id)
+
+def idle_candidate(model, super_id, candidate, min_subclasses):
+    return RuleApplication(RuleKind.RULE3, candidate.keys, candidate.owners, min(candidate.owners))
+
+for name, idle in (("apply_shared_superclass_rule", idle_rule), ("apply_candidate", idle_candidate)):
+    real = getattr(engine, name)
+    setattr(engine, name, idle)
+    try:
+        engine.restructure(model(), EngineOptions(max_iterations=3))
+    except RuleError as exc:
+        assert "did not decrease" in str(exc), exc
+    else:
+        raise SystemExit(name + ": the guard did not fire")
+    finally:
+        setattr(engine, name, real)
+print("guard ok")
+"""
+
+
+def test_termination_guard_survives_optimize_flag():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _GUARD_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "guard ok"

@@ -1,10 +1,12 @@
 import pytest
 
+from pullup.analysis import Candidate
 from pullup.errors import RuleError
 from pullup.metrics import duplication_count
 from pullup.model import Origin, PropKey
 from pullup.rules import (
     RuleKind,
+    apply_candidate,
     apply_shared_superclass_rule,
     exploit_multiple_inheritance,
     pull_up_props,
@@ -220,3 +222,67 @@ def test_extension_handles_ancestor_descendant_duplicate():
     assert len(apps) == 1
     assert duplication_count(m) == 0
     assert m.validate() == []
+
+
+@pytest.mark.parametrize("super_type", ["T", "U"])
+@pytest.mark.parametrize("min_subclasses", [1, 2])
+def test_rule1_name_conflict_falls_through_to_rule2(super_type, min_subclasses):
+    # S already declares a property named like the shared one (same type or
+    # another), so the keys go into a new class between S and its subclasses.
+    m = build_model(
+        {"S": [f"a:{super_type}"], "C1": ["a"], "C2": ["a"]},
+        edges=[("C1", "S"), ("C2", "S")],
+        types=("T", "U"),
+    )
+    s = m.entity_id("S")
+    flat_before = {eid: m.flattened_props(eid) for eid in m.entity_ids()}
+    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s), min_subclasses)
+    assert app.rule is RuleKind.RULE2
+    assert names(m, app.sources) == ["C1", "C2"]
+    assert m.entity(s).prop_keys() == {PropKey("a", super_type)}
+    assert m.entity(app.created).prop_keys() == {PropKey("a", "T")}
+    assert names(m, m.direct_subclasses(s)) == ["NewClass1"]
+    assert names(m, m.direct_subclasses(app.created)) == ["C1", "C2"]
+    for eid in app.sources:
+        assert m.flattened_props(eid) == flat_before[eid]
+    # S's only child now shares nothing S could take without the conflict.
+    assert apply_shared_superclass_rule(m, s, m.direct_subclasses(s), min_subclasses) is None
+
+
+def test_rule1_name_conflict_only_child_fires_nothing():
+    m = build_model({"S": ["a"], "A": ["a", "b"]}, edges=[("A", "S")])
+    s = m.entity_id("S")
+    before = m.clone()
+    assert apply_shared_superclass_rule(m, s, m.direct_subclasses(s), 1) is None
+    assert m == before
+
+
+def test_apply_candidate_rule3_from_given_candidate(left_model):
+    m = left_model
+    b, c, d = (m.entity_id(n) for n in "BCD")
+    app = apply_candidate(m, None, Candidate((PropKey("c", "T"),), frozenset({b, c, d})))
+    assert app.rule is RuleKind.RULE3
+    assert m.entity(app.created).prop_names() == {"c"}
+    assert names(m, m.direct_subclasses(app.created)) == ["B", "C", "D"]
+
+
+def test_apply_candidate_single_owner_fires_nothing(left_model):
+    m = left_model
+    before = m.clone()
+    cand = Candidate((PropKey("d", "T"),), frozenset({m.entity_id("D")}))
+    assert apply_candidate(m, None, cand) is None
+    assert m == before
+
+
+# B does not declare a; X is not a subclass of S.
+@pytest.mark.parametrize("super_name,owners", [(None, "AB"), ("S", "AB"), ("S", "AX")])
+def test_apply_candidate_rejects_bad_candidate_atomically(super_name, owners):
+    m = build_model(
+        {"S": [], "A": ["a"], "B": ["b"], "X": ["a"]}, edges=[("A", "S"), ("B", "S")]
+    )
+    super_id = None if super_name is None else m.entity_id(super_name)
+    cand = Candidate((PropKey("a", "T"),), frozenset(m.entity_id(n) for n in owners))
+    before = m.clone()
+    with pytest.raises(RuleError):
+        apply_candidate(m, super_id, cand)
+    assert m == before
