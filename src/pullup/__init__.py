@@ -13,7 +13,7 @@ from .metrics import (
     hierarchy_restriction_equal,
     snapshot,
 )
-from .model import ClassModel, Entity, Origin, PropertyDecl, PropKey, TypeRef
+from .model import ClassModel, Entity, Origin, PropKey, TypeRef
 from .modelfile import load_model, save_model
 from .rules import (
     RuleApplication,
@@ -37,7 +37,6 @@ __all__ = [
     "ModelError",
     "Origin",
     "PropKey",
-    "PropertyDecl",
     "RestructureReport",
     "RuleApplication",
     "RuleKind",

@@ -70,10 +70,10 @@ def common_props(model: ClassModel, classes: Iterable[int]) -> list[Candidate]:
     Pure: the model is untouched and the result depends only on names and
     declarations, never on entity-list order or set iteration order.
     """
-    owners_by_key: dict[PropKey, set[int]] = {}
+    owners_by_key: dict[PropKey, list[int]] = {}
     for eid in set(classes):
-        for key in prop_type_set(model, eid):
-            owners_by_key.setdefault(key, set()).add(eid)
+        for key in model.entity(eid).properties:  # distinct within an entity
+            owners_by_key.setdefault(key, []).append(eid)
 
     keys_by_owners: dict[frozenset[int], list[PropKey]] = {}
     for key, owners in owners_by_key.items():

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
+import secrets
 import sys
 import time
 from pathlib import Path
@@ -97,6 +99,23 @@ def _print_snapshot(label: str, snap: MetricsSnapshot) -> None:
     print(f"  max depth      {snap.max_inheritance_depth}")
 
 
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file next to ``path``, then rename it over
+    ``path``: a reader, or a crash, sees the old file or the whole new one,
+    never part of it."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "xb")  # a fresh name, created with the usual permissions
+    try:
+        with f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_restructure(args: argparse.Namespace) -> int:
     model = load_model(Path(args.input).read_bytes())
     options = EngineOptions(
@@ -110,7 +129,7 @@ def _cmd_restructure(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     report = restructure(model, options)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    Path(args.output).write_bytes(save_model(model))
+    _write_atomically(Path(args.output), save_model(model))
     if args.metrics:
         _print_snapshot("before", report.metrics_before)
         _print_snapshot("after", report.metrics_after)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .errors import ModelError
@@ -25,15 +26,16 @@ class MetricsSnapshot:
 
 def declaration_count(model: ClassModel) -> int:
     """Total number of property declarations over all entities."""
-    return sum(len(e.properties) for e in model.entities())
+    return model.declared_property_count
 
 
 def key_owner_counts(model: ClassModel) -> Counter[PropKey]:
-    """How many entities declare each distinct property key."""
-    counts: Counter[PropKey] = Counter()
-    for e in model.entities():
-        counts.update(e.prop_keys())
-    return counts
+    """How many entities declare each distinct property key.
+
+    An entity declares a key at most once, so counting every declaration
+    counts the owners.
+    """
+    return Counter(chain.from_iterable(e.properties for e in model.entities()))
 
 
 def duplicated_keys(model: ClassModel) -> set[PropKey]:
@@ -48,6 +50,7 @@ def duplication_count(model: ClassModel) -> int:
 
 def max_inheritance_depth(model: ClassModel) -> int:
     """Length of the longest generalization chain (0 for a flat model)."""
+    parents = model.parent_map()
     depth: dict[int, int] = {}
     for eid in model.entity_ids():
         if eid in depth:
@@ -55,14 +58,22 @@ def max_inheritance_depth(model: ClassModel) -> int:
         stack = [eid]
         while stack:
             cur = stack[-1]
-            parents = model.direct_superclasses(cur)
-            pending = [p for p in parents if p not in depth]
-            if pending:
-                stack.extend(pending)
-                continue
-            depth[cur] = 1 + max((depth[p] for p in parents), default=-1)
+            sups = parents.get(cur)
+            if sups:
+                pending = [p for p in sups if p not in depth]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                depth[cur] = 1 + max([depth[p] for p in sups])
+            else:
+                depth[cur] = 0
             stack.pop()
     return max(depth.values(), default=0)
+
+
+def top_level_count(model: ClassModel) -> int:
+    """Entities without a superclass."""
+    return len(model) - sum(map(bool, model.parent_map().values()))
 
 
 def snapshot(model: ClassModel) -> MetricsSnapshot:
@@ -70,7 +81,7 @@ def snapshot(model: ClassModel) -> MetricsSnapshot:
         entity_count=len(model),
         declaration_count=declaration_count(model),
         duplication_count=duplication_count(model),
-        top_level_count=sum(1 for eid in model.entity_ids() if model.is_top_level(eid)),
+        top_level_count=top_level_count(model),
         max_inheritance_depth=max_inheritance_depth(model),
     )
 

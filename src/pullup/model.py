@@ -13,7 +13,8 @@ import copy
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from types import MappingProxyType
+from typing import AbstractSet, Iterator, Mapping, NamedTuple
 
 from .errors import (
     CycleError,
@@ -42,23 +43,14 @@ class TypeRef:
     name: str
 
 
-@dataclass(frozen=True, order=True)
-class PropKey:
-    """The (property-name, type-name) identity of a property declaration."""
+class PropKey(NamedTuple):
+    """The (property-name, type-name) identity of a property declaration.
+
+    A plain tuple underneath, so hashing, comparing and sorting keys run in C.
+    """
 
     prop_name: str
     type_name: str
-
-
-@dataclass
-class PropertyDecl:
-    """A property declared by exactly one entity."""
-
-    prop_name: str
-    type_name: str
-
-    def key(self) -> PropKey:
-        return PropKey(self.prop_name, self.type_name)
 
 
 class Origin(Enum):
@@ -68,18 +60,19 @@ class Origin(Enum):
 
 @dataclass
 class Entity:
-    """A class: a name, its declared properties, and an origin marker."""
+    """A class: a name, the keys it declares in declaration order, and an
+    origin marker."""
 
     id: int
     name: str
-    properties: list[PropertyDecl] = field(default_factory=list)
+    properties: list[PropKey] = field(default_factory=list)
     origin: Origin = Origin.ORIGINAL
 
     def prop_names(self) -> set[str]:
-        return {p.prop_name for p in self.properties}
+        return {name for name, _ in self.properties}
 
     def prop_keys(self) -> set[PropKey]:
-        return {p.key() for p in self.properties}
+        return set(self.properties)
 
 
 class ClassModel:
@@ -183,11 +176,12 @@ class ClassModel:
                 f"unknown type {key.type_name} for property {key.prop_name} "
                 f"in entity {e.name}"
             )
-        if any(p.prop_name == key.prop_name for p in e.properties):
-            raise DuplicateNameError(
-                f"entity {e.name} already declares property {key.prop_name}"
-            )
-        e.properties.append(PropertyDecl(key.prop_name, key.type_name))
+        for p in e.properties:
+            if p.prop_name == key.prop_name:
+                raise DuplicateNameError(
+                    f"entity {e.name} already declares property {key.prop_name}"
+                )
+        e.properties.append(key)
         self._decl_count += 1
 
     def delete_property(self, eid: int, prop_name: str) -> None:
@@ -242,6 +236,13 @@ class ClassModel:
         self.entity(eid)
         return set(self._parents.get(eid, ()))
 
+    def parent_map(self) -> Mapping[int, AbstractSet[int]]:
+        """Read-only live view of every entity's direct superclasses by id.
+
+        An entity without superclasses may be absent or map to an empty set.
+        """
+        return MappingProxyType(self._parents)
+
     def is_top_level(self, eid: int) -> bool:
         self.entity(eid)
         return not self._parents.get(eid)
@@ -272,7 +273,9 @@ class ClassModel:
         """Re-check every model invariant; return violation descriptions."""
         violations: list[str] = []
         seen_names: set[str] = set()
+        declared = 0
         for e in self.entities():
+            declared += len(e.properties)
             if not _NAME_RE.fullmatch(e.name or ""):
                 violations.append(f"invalid entity name {e.name!r}")
             if e.name in seen_names:
@@ -290,6 +293,11 @@ class ClassModel:
                         f"unknown type {p.type_name} in entity {e.name} "
                         f"property {p.prop_name}"
                     )
+        if declared != self._decl_count:
+            violations.append(
+                f"declaration counter reads {self._decl_count}, "
+                f"entities declare {declared}"
+            )
         for sub, sup in sorted(self._edges):
             if sub not in self._entities or sup not in self._entities:
                 violations.append(f"generalization references unknown entity ({sub} -> {sup})")
@@ -329,7 +337,7 @@ class ClassModel:
         return (
             frozenset(self._types),
             tuple(
-                (e.name, e.origin, tuple((p.prop_name, p.type_name) for p in e.properties))
+                (e.name, e.origin, tuple(e.properties))
                 for e in self.entities()
             ),
             frozenset(

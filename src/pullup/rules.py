@@ -15,7 +15,8 @@ cover the three core rules:
 
 ``exploit_multiple_inheritance`` is the optional final pass that removes all
 remaining declared duplication by giving entities additional parents, reusing
-synthesized top-level classes where possible.
+a synthesized top-level class that declares exactly the shared keys where
+one exists.
 
 Every application is atomic: preconditions are checked before the first
 mutation, so a raised :class:`~pullup.errors.RuleError` leaves the model
@@ -30,6 +31,7 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .analysis import Candidate, common_props, prop_type_set
 from .errors import RuleError
+from .metrics import duplicated_keys
 from .model import ClassModel, Origin, PropKey
 
 
@@ -189,24 +191,29 @@ def exploit_multiple_inheritance(
 ) -> list[RuleApplication]:
     """Remove all remaining declared duplication in one pass.
 
-    Candidates are computed once over all entities and processed in ranking
-    order until the first one owned by a single entity. Per candidate, owners
-    that no longer declare all keys are dropped against the live model; a
-    candidate with fewer than two remaining owners is skipped. A top-level
-    synthesized owner is reused as the common superclass when one exists,
+    Candidates are computed once and processed in ranking order until the
+    first one owned by a single entity. Only the entities that declare a key
+    some other entity also declares are ranked: every candidate with two or
+    more owners lies among them, in the order ranking all entities gives.
+    Per candidate, owners that no longer declare all keys are dropped against
+    the live model; a candidate with fewer than two remaining owners is
+    skipped. A top-level synthesized owner that declares exactly the
+    candidate's keys is reused as the common superclass when one exists
+    (one declaring more would hand its other keys to the other owners),
     otherwise a new entity is created.
 
     ``on_apply``, when given, is called with each application right after it
     mutated the model.
     """
+    shared = duplicated_keys(model)
+    sharing = [e.id for e in model.entities() if not shared.isdisjoint(e.properties)]
     applications: list[RuleApplication] = []
-    for candidate in common_props(model, model.entity_ids()):
+    for candidate in common_props(model, sharing):
         if len(candidate.owners) <= 1:
             break
+        keys = set(candidate.keys)
         owners = {
-            oid
-            for oid in candidate.owners
-            if all(k in prop_type_set(model, oid) for k in candidate.keys)
+            oid for oid in candidate.owners if prop_type_set(model, oid) >= keys
         }
         if len(owners) < 2:
             continue
@@ -216,6 +223,7 @@ def exploit_multiple_inheritance(
             for oid in owners
             if model.is_top_level(oid)
             and model.entity(oid).origin is Origin.SYNTHESIZED
+            and prop_type_set(model, oid) == keys
         ]
         if reusable:
             target = min(reusable, key=lambda oid: model.entity(oid).name)

@@ -1,16 +1,20 @@
-"""Reference core fixpoint: every pass re-ranks every superclass and the
-whole top-level set.
+"""Reference engine: every pass re-ranks every superclass and the whole
+top-level set, and the multiple-inheritance pass ranks every entity.
 
 This is the engine's full re-ranking loop before it was made incremental,
 built on ``apply_shared_superclass_rule`` (which ranks with
-``common_props``) alone. The incremental engine must fire the same rules in
-the same order, take the same number of passes and save the same bytes.
+``common_props``) alone, followed by the multiple-inheritance pass before it
+learned to rank only the entities that share a key. The engine must fire the
+same rules in the same order, take the same number of passes and save the
+same bytes.
 """
 
 from __future__ import annotations
 
+from pullup.analysis import common_props
 from pullup.engine import EngineOptions
-from pullup.rules import apply_shared_superclass_rule, exploit_multiple_inheritance
+from pullup.model import Origin
+from pullup.rules import RuleApplication, RuleKind, apply_shared_superclass_rule
 
 
 def reference_restructure(model, options=None):
@@ -37,5 +41,45 @@ def reference_restructure(model, options=None):
         if not applied:
             break
     if options.multi_inheritance:
-        exploit_multiple_inheritance(model, on_apply=applications.append)
+        applications.extend(reference_multiple_inheritance(model))
     return applications, iterations
+
+
+def reference_multiple_inheritance(model):
+    """The multiple-inheritance pass over a ranking of every entity."""
+    applications = []
+    for candidate in common_props(model, model.entity_ids()):
+        if len(candidate.owners) <= 1:
+            break
+        keys = set(candidate.keys)
+        owners = {
+            oid for oid in candidate.owners if model.entity(oid).prop_keys() >= keys
+        }
+        if len(owners) < 2:
+            continue
+        reusable = [
+            oid
+            for oid in owners
+            if model.is_top_level(oid)
+            and model.entity(oid).origin is Origin.SYNTHESIZED
+            and model.entity(oid).prop_keys() == keys
+        ]
+        if reusable:
+            target = min(reusable, key=lambda oid: model.entity(oid).name)
+            sources = sorted(owners - {target})
+            kind, created = RuleKind.MULTI_INHERIT_REUSE, None
+        else:
+            target = created = model.create_entity()
+            sources = sorted(owners)
+            kind = RuleKind.MULTI_INHERIT_NEW
+            for key in candidate.keys:
+                model.add_property(target, key)
+        for oid in sources:
+            for key in candidate.keys:
+                model.delete_property(oid, key.prop_name)
+            if not model.has_generalization(oid, target):
+                model.add_generalization(oid, target)
+        applications.append(
+            RuleApplication(kind, candidate.keys, frozenset(sources), target, created)
+        )
+    return applications

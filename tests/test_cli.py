@@ -132,3 +132,55 @@ def test_min_subclasses_zero_is_usage_error(tmp_path, capsys):
     assert main(args + ["--min-subclasses", "x"]) == 2
     assert "--min-subclasses" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_restructure_multi_inheritance_keeps_leaf_properties(tmp_path):
+    # Rule 3 makes NewClass1{a:T,b:U} over E0 and E7; E8 shares only a:T
+    # with it and must not inherit b:U.
+    doc = (
+        "classmodel v1\ntype T\ntype U\n"
+        "entity E0\n  prop a T\n  prop b U\nentity E1\n"
+        "entity E7\n  prop a T\n  prop b U\n"
+        "entity E8\n  prop a T\n  super E1\n"
+    )
+    src = tmp_path / "in.model"
+    src.write_text(doc)
+    out = tmp_path / "out.model"
+    assert main(["restructure", str(src), "-o", str(out), "--multi-inheritance"]) == 0
+    before, after = load_model(doc), load_model(out.read_bytes())
+    assert after.validate() == []
+    for name in ("E0", "E7", "E8"):
+        assert after.flattened_props(after.entity_id(name)) == before.flattened_props(
+            before.entity_id(name)
+        )
+
+
+def test_restructure_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "out.model"
+    out.write_bytes(b"old")
+    assert main(["restructure", str(FIXTURES / "left.model"), "-o", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out.model"]
+    assert load_model(out.read_bytes()).declared_property_count == 6
+
+
+def test_iteration_limit_leaves_existing_output_unchanged(tmp_path, capsys):
+    out = tmp_path / "out.model"
+    out.write_bytes(b"previous output\n")
+    args = ["restructure", str(FIXTURES / "left.model"), "-o", str(out)]
+    assert main(args + ["--max-iterations", "1"]) == 1
+    assert "no fixpoint after 1 iterations" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.model"]
+
+
+def test_unwritable_output_leaves_no_temporary_file(tmp_path, monkeypatch):
+    out = tmp_path / "out.model"
+    out.write_bytes(b"previous output\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr("pullup.cli.os.replace", fail)
+    assert main(["restructure", str(FIXTURES / "left.model"), "-o", str(out)]) == 1
+    assert out.read_bytes() == b"previous output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.model"]

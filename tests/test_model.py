@@ -191,6 +191,13 @@ def test_declared_property_count_tracks_mutations():
     assert m.declared_property_count == 3
 
 
+def test_validate_reports_a_wrong_declaration_counter():
+    m = build_model({"A": ["a", "b"], "B": ["c"]})
+    assert m.validate() == []
+    m._decl_count += 1
+    assert m.validate() == ["declaration counter reads 4, entities declare 3"]
+
+
 def test_names_must_be_tokens():
     m = ClassModel()
     with pytest.raises(DuplicateNameError):

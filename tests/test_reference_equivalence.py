@@ -1,10 +1,12 @@
-"""The incremental engine against the full re-ranking reference loop.
+"""The engine against the full re-ranking reference engine.
 
 Both must save the same bytes, take the same number of passes and fire the
 same rules in the same order: on generated corpora of every family, and on
 hypothesis-built shapes the generators never produce (several parents,
 diamonds, deep chains, synthesized classes in the input, originals named
-``NewClass<k>``, superclasses declaring a name their subclasses share).
+``NewClass<k>``, superclasses declaring a name their subclasses share). On
+those shapes every leaf also keeps its flattened properties, with and
+without the multiple-inheritance pass.
 """
 
 import pytest
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 
 from pullup.engine import EngineOptions, restructure
 from pullup.generate import Family, GeneratorSpec, generate_model
-from pullup.model import ClassModel, Origin, PropKey
+from pullup.model import Origin
 from pullup.modelfile import save_model
 
 from reference_engine import reference_restructure
+from shapes import shapes
 
 OPTIONS = [
     EngineOptions(multi_inheritance=multi, min_subclasses=k)
@@ -44,55 +47,14 @@ def test_generated_corpora_match_reference(family, scale):
             assert_same_run(model, options)
 
 
-@st.composite
-def shapes(draw):
-    model = ClassModel()
-    for t in ("T", "U"):
-        model.add_type(t)
-    ids = []
-    for i in range(draw(st.integers(2, 9))):
-        kind = draw(st.sampled_from(["plain", "plain", "newclass", "synthesized"]))
-        if kind == "synthesized":
-            eid = model.create_entity()
-        else:
-            name = f"NewClass{draw(st.integers(1, 4))}" if kind == "newclass" else f"E{i}"
-            eid = model.add_entity(name if not model.has_entity(name) else f"E{i}")
-        props = draw(
-            st.lists(
-                st.tuples(st.sampled_from("abcd"), st.sampled_from("TU")),
-                max_size=3,
-                unique_by=lambda p: p[0],
-            )
-        )
-        for name, type_name in props:
-            model.add_property(eid, PropKey(name, type_name))
-        if ids:
-            # Earlier entities only, so the graph stays acyclic; the chain
-            # option makes deep hierarchies likely.
-            parents = draw(
-                st.one_of(
-                    st.just([ids[-1]]),
-                    st.lists(st.sampled_from(ids), max_size=3, unique=True),
-                )
-            )
-            for parent in parents:
-                model.add_generalization(eid, parent)
-        ids.append(eid)
-    return model
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(model=shapes(), options=st.sampled_from(OPTIONS))
 def test_awkward_shapes_match_reference(model, options):
     leaves = [e.id for e in model.entities() if not model.direct_subclasses(e.id)]
     out = assert_same_run(model, options)
     assert out.validate() == []
-    # The multiple-inheritance pass may reuse a synthesized class that
-    # declares more than the reused keys, which adds properties to a leaf;
-    # only the core rules are held to preserving them here.
-    if not options.multi_inheritance:
-        for eid in leaves:
-            assert out.flattened_props(eid) == model.flattened_props(eid)
+    for eid in leaves:
+        assert out.flattened_props(eid) == model.flattened_props(eid)
     assert sum(e.origin is Origin.ORIGINAL for e in out.entities()) == sum(
         e.origin is Origin.ORIGINAL for e in model.entities()
     )

@@ -202,6 +202,23 @@ def test_extension_reuses_synthesized_top_level():
     assert sum(1 for e in m.entities() if e.origin is Origin.SYNTHESIZED) == 1
 
 
+def test_extension_does_not_reuse_a_class_declaring_more_keys():
+    # NewClass1 shares a:T with A but also declares b:U, which A never had;
+    # reusing it would hand b:U to A.
+    m = build_model({"A": ["a:T", "p:T"]}, types=("T", "U"))
+    nc = m.create_entity()
+    m.add_property(nc, PropKey("a", "T"))
+    m.add_property(nc, PropKey("b", "U"))
+    a = m.entity_id("A")
+    flat_before = {eid: m.flattened_props(eid) for eid in (a, nc)}
+    apps = exploit_multiple_inheritance(m)
+    assert [app.rule for app in apps] == [RuleKind.MULTI_INHERIT_NEW]
+    assert names(m, apps[0].sources) == ["A", "NewClass1"]
+    assert {eid: m.flattened_props(eid) for eid in (a, nc)} == flat_before
+    assert duplication_count(m) == 0
+    assert m.validate() == []
+
+
 def test_extension_ignores_original_class_named_like_synthesized():
     m = build_model({"NewClass1": ["a"], "B": ["a"]})
     apps = exploit_multiple_inheritance(m)
