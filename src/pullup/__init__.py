@@ -2,7 +2,7 @@
 or newly created superclasses, with an optional multiple-inheritance pass
 that removes all remaining duplication."""
 
-from .analysis import Candidate, common_props, filter_by_properties, prop_type_set
+from .analysis import Candidate, common_props
 from .engine import EngineOptions, RestructureReport, restructure
 from .errors import ModelError
 from .generate import Family, GeneratorSpec, element_count, generate_model
@@ -13,7 +13,7 @@ from .metrics import (
     hierarchy_restriction_equal,
     snapshot,
 )
-from .model import ClassModel, Entity, Origin, PropKey, TypeRef
+from .model import ClassModel, Entity, Origin, PropKey
 from .modelfile import load_model, save_model
 from .rules import (
     RuleApplication,
@@ -40,7 +40,6 @@ __all__ = [
     "RestructureReport",
     "RuleApplication",
     "RuleKind",
-    "TypeRef",
     "apply_candidate",
     "apply_shared_superclass_rule",
     "common_props",
@@ -48,11 +47,9 @@ __all__ = [
     "effectiveness",
     "element_count",
     "exploit_multiple_inheritance",
-    "filter_by_properties",
     "generate_model",
     "hierarchy_restriction_equal",
     "load_model",
-    "prop_type_set",
     "pull_up_props",
     "restructure",
     "save_model",

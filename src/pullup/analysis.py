@@ -4,7 +4,8 @@ entities, and the ranked candidate list that drives every restructuring rule.
 Ranking order (``rank_key``): larger owner sets first; among equal sizes,
 owner sets that occur more often among the per-key pairs first; ties broken
 canonically by sorted owner names. All keys with the same owner set form one
-candidate, in sorted key order.
+candidate, in sorted key order. ``top_candidate`` finds the first candidate
+without ranking the others.
 
 ``SharingIndex`` keeps the same ranking over the top-level classes up to
 date as rules fire, so the fixpoint engine need not re-rank the whole
@@ -13,10 +14,9 @@ top-level set after each firing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .model import ClassModel, PropKey
 
@@ -29,31 +29,6 @@ class Candidate:
     owners: frozenset[int]
 
 
-def prop_type_set(model: ClassModel, eid: int) -> set[PropKey]:
-    """The entity's own declared property keys (inherited ones excluded)."""
-    return model.entity(eid).prop_keys()
-
-
-def filter_by_properties(
-    model: ClassModel, keys: Iterable[PropKey], entities: Iterable[int]
-) -> set[int]:
-    """Entities declaring every given key with the exact same type."""
-    keys = list(keys)
-    out = set()
-    for eid in entities:
-        own = prop_type_set(model, eid)
-        if all(k in own for k in keys):
-            out.add(eid)
-    return out
-
-
-def entity_set_frequency(
-    pairs: Iterable[tuple[PropKey, frozenset[int]]],
-) -> Mapping[frozenset[int], int]:
-    """How often each exact owner set occurs among the (key, owners) pairs."""
-    return Counter(frozenset(owners) for _, owners in pairs)
-
-
 def rank_key(
     model: ClassModel, owners: frozenset[int], freq: int
 ) -> tuple[int, int, tuple[str, ...]]:
@@ -64,24 +39,53 @@ def rank_key(
     return (-len(owners), -freq, tuple(sorted(model.entity(i).name for i in owners)))
 
 
+def _groups(
+    model: ClassModel, classes: Iterable[int]
+) -> dict[frozenset[int], list[PropKey]]:
+    """The keys declared among ``classes``, grouped by the exact set of
+    classes that declare each. A class listed twice counts once."""
+    owners_by_key: dict[PropKey, list[int]] = {}
+    for eid in classes:
+        for key in model.entity(eid).properties:  # distinct within an entity
+            owners_by_key.setdefault(key, []).append(eid)
+    keys_by_owners: dict[frozenset[int], list[PropKey]] = {}
+    for key, owners in owners_by_key.items():
+        keys_by_owners.setdefault(frozenset(owners), []).append(key)
+    return keys_by_owners
+
+
 def common_props(model: ClassModel, classes: Iterable[int]) -> list[Candidate]:
     """Rank and collapse the shared-property candidates of ``classes``.
 
     Pure: the model is untouched and the result depends only on names and
     declarations, never on entity-list order or set iteration order.
     """
-    owners_by_key: dict[PropKey, list[int]] = {}
-    for eid in set(classes):
-        for key in model.entity(eid).properties:  # distinct within an entity
-            owners_by_key.setdefault(key, []).append(eid)
-
-    keys_by_owners: dict[frozenset[int], list[PropKey]] = {}
-    for key, owners in owners_by_key.items():
-        keys_by_owners.setdefault(frozenset(owners), []).append(key)
     ranked = sorted(
-        keys_by_owners.items(), key=lambda group: rank_key(model, group[0], len(group[1]))
+        _groups(model, classes).items(),
+        key=lambda group: rank_key(model, group[0], len(group[1])),
     )
     return [Candidate(tuple(sorted(keys)), owners) for owners, keys in ranked]
+
+
+def top_candidate(model: ClassModel, classes: Iterable[int]) -> Optional[Candidate]:
+    """``common_props(model, classes)[0]`` without ranking every candidate;
+    ``None`` when ``classes`` declare nothing.
+
+    ``rank_key`` orders by owner count, then by key count, so the first
+    candidate is among the groups largest by both; only those build the
+    name tuple that breaks their tie.
+    """
+    groups = _groups(model, classes)
+    if not groups:
+        return None
+    best = max((len(owners), len(keys)) for owners, keys in groups.items())
+    tied = [g for g in groups.items() if (len(g[0]), len(g[1])) == best]
+    owners, keys = (
+        tied[0]
+        if len(tied) == 1
+        else min(tied, key=lambda group: rank_key(model, group[0], len(group[1])))
+    )
+    return Candidate(tuple(sorted(keys)), owners)
 
 
 class SharingIndex:
@@ -99,11 +103,12 @@ class SharingIndex:
         self._model = model
         self._keys: dict[int, set[PropKey]] = {}
         owners: dict[PropKey, list[int]] = {}
-        for eid in model.entity_ids():
-            if model.is_top_level(eid):
-                keys = self._keys[eid] = prop_type_set(model, eid)
-                for key in keys:
-                    owners.setdefault(key, []).append(eid)
+        parents = model.parent_map()
+        for e in model.entities():
+            if not parents.get(e.id):
+                self._keys[e.id] = set(e.properties)
+                for key in e.properties:
+                    owners.setdefault(key, []).append(e.id)
         self._owners = {key: frozenset(ids) for key, ids in owners.items()}
         self._groups: dict[frozenset[int], set[PropKey]] = {}
         for key, ids in self._owners.items():
@@ -135,7 +140,7 @@ class SharingIndex:
         came: dict[PropKey, set[int]] = {}
         for eid in eids:
             old = self._keys.pop(eid, set())
-            new = prop_type_set(model, eid) if model.is_top_level(eid) else set()
+            new = model.entity(eid).prop_keys() if model.is_top_level(eid) else set()
             if new:
                 self._keys[eid] = new
             for key in old - new:

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-iterations",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="abort if the fixpoint needs more than N outer passes",
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[f.value for f in Family],
     )
-    p.add_argument("--scale", type=int, required=True)
+    p.add_argument("--scale", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     return parser
@@ -163,7 +163,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(Family(args.family), args.scale, args.seed)
     model = generate_model(spec)
-    Path(args.output).write_bytes(save_model(model))
+    _write_atomically(Path(args.output), save_model(model))
     print(f"elements         {element_count(model)}")
     return EXIT_OK
 

@@ -157,8 +157,9 @@ def pass_rules_1_2(
     if state is None:
         state = _CoreState(model)
     applied = False
+    children = model.child_map()
     for eid in state.sweep():
-        subs = model.direct_subclasses(eid)
+        subs = children.get(eid)
         if not subs:
             continue
         decls = model.declared_property_count

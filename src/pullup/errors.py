@@ -17,6 +17,10 @@ class DuplicateNameError(ModelError):
     """A name collides with an existing type, entity, or property."""
 
 
+class InvalidNameError(ModelError):
+    """A name is empty, holds whitespace or ``#``, or is not a string."""
+
+
 class PropertyNotFoundError(ModelError):
     """A property lookup by name failed."""
 

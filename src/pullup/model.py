@@ -4,7 +4,8 @@ A :class:`ClassModel` holds named types, an ordered list of entities (classes
 with declared properties), and a set of generalization edges forming a DAG.
 All mutations validate their preconditions and leave the model untouched on
 failure; :meth:`ClassModel.validate` re-checks every invariant from the data
-itself and reports violations as strings.
+itself and reports violations as strings. :class:`ModelBuilder` fills a fresh
+model from a document's tokens for the loader.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import AbstractSet, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
     CycleError,
     DuplicateNameError,
     GeneralizationError,
+    InvalidNameError,
+    ModelError,
     PropertyNotFoundError,
     UnknownEntityError,
     UnknownTypeError,
@@ -32,15 +35,8 @@ _NAME_RE = re.compile(r"[^\s#]+")
 
 def _check_name(name: str, what: str) -> str:
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-        raise DuplicateNameError(f"invalid {what} name: {name!r}")
+        raise InvalidNameError(f"invalid {what} name: {name!r}")
     return name
-
-
-@dataclass(frozen=True)
-class TypeRef:
-    """A named type a property declaration can reference."""
-
-    name: str
 
 
 class PropKey(NamedTuple):
@@ -84,9 +80,8 @@ class ClassModel:
     """
 
     def __init__(self) -> None:
-        self._types: dict[str, TypeRef] = {}
-        self._entities: dict[int, Entity] = {}
-        self._order: list[int] = []
+        self._types: set[str] = set()
+        self._entities: dict[int, Entity] = {}  # in entity order, never removed
         self._by_name: dict[str, int] = {}
         self._edges: set[tuple[int, int]] = set()  # (specific, general)
         self._parents: dict[int, set[int]] = {}
@@ -97,13 +92,11 @@ class ClassModel:
 
     # -- types ------------------------------------------------------------
 
-    def add_type(self, name: str) -> TypeRef:
+    def add_type(self, name: str) -> None:
         _check_name(name, "type")
         if name in self._types:
             raise DuplicateNameError(f"duplicate type name {name}")
-        ref = TypeRef(name)
-        self._types[name] = ref
-        return ref
+        self._types.add(name)
 
     def has_type(self, name: str) -> bool:
         return name in self._types
@@ -117,12 +110,14 @@ class ClassModel:
         _check_name(name, "entity")
         if name in self._by_name:
             raise DuplicateNameError(f"duplicate entity name {name}")
+        return self._append_entity(name, origin).id
+
+    def _append_entity(self, name: str, origin: Origin) -> Entity:
         eid = self._next_id
         self._next_id += 1
-        self._entities[eid] = Entity(id=eid, name=name, origin=origin)
-        self._order.append(eid)
+        e = self._entities[eid] = Entity(eid, name, [], origin)
         self._by_name[name] = eid
-        return eid
+        return e
 
     def create_entity(self) -> int:
         """Add a fresh synthesized, top-level, property-less entity.
@@ -152,14 +147,13 @@ class ClassModel:
         return name in self._by_name
 
     def entity_ids(self) -> list[int]:
-        return list(self._order)
+        return list(self._entities)
 
     def entities(self) -> Iterator[Entity]:
-        for eid in self._order:
-            yield self._entities[eid]
+        return iter(self._entities.values())
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._entities)
 
     # -- properties -------------------------------------------------------
 
@@ -242,6 +236,13 @@ class ClassModel:
         An entity without superclasses may be absent or map to an empty set.
         """
         return MappingProxyType(self._parents)
+
+    def child_map(self) -> Mapping[int, AbstractSet[int]]:
+        """Read-only live view of every entity's direct subclasses by id.
+
+        An entity without subclasses may be absent or map to an empty set.
+        """
+        return MappingProxyType(self._children)
 
     def is_top_level(self, eid: int) -> bool:
         self.entity(eid)
@@ -353,6 +354,89 @@ class ClassModel:
 
     def __repr__(self) -> str:
         return (
-            f"<ClassModel {len(self._order)} entities, "
+            f"<ClassModel {len(self._entities)} entities, "
             f"{self._decl_count} properties, {len(self._edges)} generalizations>"
         )
+
+
+class ModelBuilder:
+    """Builds a :class:`ClassModel` in one pass over a document's directives:
+    types, then entities, each followed by its properties. Generalizations
+    are collected and added by :meth:`finish`, so they may name entities
+    declared later.
+
+    Names are not matched against ``_NAME_RE`` again: the loader passes only
+    tokens that ``str.split`` returned from a line without its ``#`` comment,
+    and every such token matches. Anything else that is wrong goes to the
+    checked :class:`ClassModel` primitive, which raises the error it always
+    raises.
+    """
+
+    def __init__(self) -> None:
+        self.model = ClassModel()
+        self._current: Optional[Entity] = None
+        self._names: set[str] = set()  # the current entity's property names
+        self._supers: list[tuple[int, str, int]] = []  # (sub id, super name, line)
+
+    def add_type(self, name: str) -> None:
+        types = self.model._types
+        if name not in types:
+            types.add(name)
+        else:
+            self.model.add_type(name)  # raises DuplicateNameError
+
+    def add_entity(self, name: str, origin: Origin) -> int:
+        """Add an entity and make it the one properties are added to."""
+        model = self.model
+        if name not in model._by_name:
+            self._current = model._append_entity(name, origin)
+            self._names = set()
+        else:
+            model.add_entity(name, origin)  # raises DuplicateNameError
+        return self._current.id
+
+    def add_property(self, name: str, type_name: str) -> None:
+        """Declare a property of the entity added last."""
+        key = PropKey(name, type_name)
+        if type_name in self.model._types and name not in self._names:
+            self._names.add(name)
+            self._current.properties.append(key)
+        else:  # raises UnknownTypeError or DuplicateNameError
+            self.model.add_property(self._current.id, key)
+
+    def add_super(self, sub: int, name: str, line: int) -> None:
+        """Note the generalization ``sub -> name`` of document line ``line``."""
+        self._supers.append((sub, name, line))
+
+    def finish(self) -> ClassModel:
+        """Add the generalizations, check for cycles once and return the model.
+
+        An error names the first generalization, in the order they were
+        noted, that is unresolved, a self edge or a duplicate, or that closes
+        a cycle with the ones before it.
+        """
+        model = self.model
+        model._decl_count = sum(len(e.properties) for e in model._entities.values())
+        by_name, edges = model._by_name, model._edges
+        parents, children = model._parents, model._children
+        for sub, name, _ in self._supers:
+            sup = by_name.get(name)
+            if sup is None or sup == sub or (sub, sup) in edges:
+                break
+            edges.add((sub, sup))
+            parents.setdefault(sub, set()).add(sup)
+            children.setdefault(sup, set()).add(sub)
+        else:
+            if not model._cycle_members():
+                return model
+        # Replay in order through the checked primitive to find the edge at
+        # fault; each check there depends only on the edges before it.
+        edges.clear()
+        parents.clear()
+        children.clear()
+        for sub, name, line in self._supers:
+            try:
+                model.add_generalization(sub, model.entity_id(name))
+            except ModelError as exc:
+                raise type(exc)(f"line {line}: {exc}") from None
+        return model

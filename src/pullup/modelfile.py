@@ -22,7 +22,7 @@ document yields identical bytes.
 from __future__ import annotations
 
 from .errors import ModelError, ModelSyntaxError
-from .model import ClassModel, Origin, PropKey
+from .model import ClassModel, ModelBuilder, Origin
 
 FORMAT_VERSION = 1
 _HEADER = f"classmodel v{FORMAT_VERSION}"
@@ -30,20 +30,22 @@ _HEADER = f"classmodel v{FORMAT_VERSION}"
 
 def save_model(model: ClassModel) -> bytes:
     """Serialize ``model`` into canonical document bytes."""
+    names = {e.id: e.name for e in model.entities()}
+    parents = model.parent_map()
     lines = [_HEADER]
-    for t in model.type_names():
-        lines.append(f"type {t}")
+    lines += [f"type {t}" for t in model.type_names()]
+    append = lines.append
     for e in model.entities():
         marker = " synthesized" if e.origin is Origin.SYNTHESIZED else ""
-        lines.append(f"entity {e.name}{marker}")
-        for p in e.properties:
-            lines.append(f"  prop {p.prop_name} {p.type_name}")
-        supers = sorted(
-            model.entity(sup).name for sup in model.direct_superclasses(e.id)
-        )
-        for name in supers:
-            lines.append(f"  super {name}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        append(f"entity {e.name}{marker}")
+        for name, type_name in e.properties:
+            append(f"  prop {name} {type_name}")
+        supers = parents.get(e.id)
+        if supers:
+            for name in sorted([names[s] for s in supers]):
+                append(f"  super {name}")
+    append("")
+    return "\n".join(lines).encode("utf-8")
 
 
 def load_model(data: bytes | str) -> ClassModel:
@@ -51,7 +53,7 @@ def load_model(data: bytes | str) -> ClassModel:
 
     Errors carry the 1-based line number of the offending directive. Forward
     references in ``super`` lines are allowed; everything else must be
-    declared before use.
+    declared before use. Loading takes time linear in the document's size.
     """
     if isinstance(data, bytes):
         try:
@@ -61,30 +63,43 @@ def load_model(data: bytes | str) -> ClassModel:
     else:
         text = data
 
-    model = ClassModel()
-    current: int | None = None
-    pending_supers: list[tuple[int, str, int]] = []  # (entity id, super name, line)
-    saw_header = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not saw_header:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        line = raw.partition("#")[0].strip()
+        if line:
             if line != _HEADER:
                 raise ModelSyntaxError(
                     f"line {lineno}: expected header {_HEADER!r}, got {line!r}",
                     line=lineno,
                 )
-            saw_header = True
+            break
+    else:
+        raise ModelSyntaxError(f"empty document, expected header {_HEADER!r}")
+
+    build = ModelBuilder()
+    current: int | None = None
+    for lineno, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         directive = tokens[0]
         try:
-            if directive == "type":
+            if directive == "prop":
+                if current is None:
+                    raise ModelSyntaxError("prop before any entity", line=lineno)
+                if len(tokens) != 3:
+                    raise ModelSyntaxError(
+                        "prop needs a name and a type", line=lineno
+                    )
+                build.add_property(tokens[1], tokens[2])
+            elif directive == "super":
+                if current is None:
+                    raise ModelSyntaxError("super before any entity", line=lineno)
                 if len(tokens) != 2:
-                    raise ModelSyntaxError("type needs exactly one name", line=lineno)
-                model.add_type(tokens[1])
+                    raise ModelSyntaxError(
+                        "super needs exactly one entity name", line=lineno
+                    )
+                build.add_super(current, tokens[1], lineno)
             elif directive == "entity":
                 if len(tokens) == 2:
                     origin = Origin.ORIGINAL
@@ -95,23 +110,11 @@ def load_model(data: bytes | str) -> ClassModel:
                         "entity needs a name and optional 'synthesized'",
                         line=lineno,
                     )
-                current = model.add_entity(tokens[1], origin)
-            elif directive == "prop":
-                if current is None:
-                    raise ModelSyntaxError("prop before any entity", line=lineno)
-                if len(tokens) != 3:
-                    raise ModelSyntaxError(
-                        "prop needs a name and a type", line=lineno
-                    )
-                model.add_property(current, PropKey(tokens[1], tokens[2]))
-            elif directive == "super":
-                if current is None:
-                    raise ModelSyntaxError("super before any entity", line=lineno)
+                current = build.add_entity(tokens[1], origin)
+            elif directive == "type":
                 if len(tokens) != 2:
-                    raise ModelSyntaxError(
-                        "super needs exactly one entity name", line=lineno
-                    )
-                pending_supers.append((current, tokens[1], lineno))
+                    raise ModelSyntaxError("type needs exactly one name", line=lineno)
+                build.add_type(tokens[1])
             else:
                 raise ModelSyntaxError(
                     f"unknown directive {directive!r}", line=lineno
@@ -120,13 +123,4 @@ def load_model(data: bytes | str) -> ClassModel:
             raise
         except ModelError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
-
-    if not saw_header:
-        raise ModelSyntaxError(f"empty document, expected header {_HEADER!r}")
-
-    for sub, super_name, lineno in pending_supers:
-        try:
-            model.add_generalization(sub, model.entity_id(super_name))
-        except ModelError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-    return model
+    return build.finish()

@@ -1,7 +1,7 @@
 """The restructuring rules.
 
-``apply_shared_superclass_rule`` ranks the candidates among some classes and
-``apply_candidate`` fires the rule the top one calls for; together they
+``apply_shared_superclass_rule`` finds the top-ranked candidate among some
+classes and ``apply_candidate`` fires the rule it calls for; together they
 cover the three core rules:
 
 * rule 1 - the top candidate is shared by *all* given classes and a common
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Optional, Sequence
 
-from .analysis import Candidate, common_props, prop_type_set
+from .analysis import Candidate, common_props, top_candidate
 from .errors import RuleError
 from .metrics import duplicated_keys
 from .model import ClassModel, Origin, PropKey
@@ -86,7 +86,7 @@ def _check_sources(
     model: ClassModel, keys: Sequence[PropKey], sources: AbstractSet[int]
 ) -> None:
     for sid in sources:
-        own = prop_type_set(model, sid)
+        own = model.entity(sid).prop_keys()
         for key in keys:
             if key not in own:
                 raise RuleError(
@@ -114,28 +114,21 @@ def apply_shared_superclass_rule(
 
     With ``super_id`` set, ``classes`` must be exactly its direct subclasses
     (rules 1 and 2); with ``super_id`` absent they are the top-level classes
-    (rule 3). Returns ``None`` when no rule applies. The firing itself is
-    :func:`apply_candidate`'s.
+    (rule 3). ``classes`` is copied before anything changes, so it may be a
+    live set of the model. Returns ``None`` when no rule applies. The firing
+    itself is :func:`apply_candidate`'s.
     """
     if min_subclasses < 1:
         raise RuleError("min_subclasses must be >= 1")
     class_ids = frozenset(classes)
     if super_id is not None:
-        if class_ids != model.direct_subclasses(super_id):
-            raise RuleError(
-                f"classes are not the direct subclasses of "
-                f"{model.entity(super_id).name}"
-            )
-    else:
-        for eid in class_ids:
-            model.entity(eid)
-    if not class_ids:
+        target = model.entity(super_id)
+        if class_ids != model.child_map().get(super_id, frozenset()):
+            raise RuleError(f"classes are not the direct subclasses of {target.name}")
+    candidate = top_candidate(model, class_ids)
+    if candidate is None:
         return None
-
-    ranking = common_props(model, class_ids)
-    if not ranking:
-        return None
-    return apply_candidate(model, super_id, ranking[0], min_subclasses)
+    return apply_candidate(model, super_id, candidate, min_subclasses)
 
 
 def apply_candidate(
@@ -156,17 +149,16 @@ def apply_candidate(
     """
     keys, owners = candidate.keys, candidate.owners
     if super_id is not None:
-        subs = model.direct_subclasses(super_id)
+        target = model.entity(super_id)
+        subs = model.child_map().get(super_id, frozenset())
         if not owners <= subs:
             raise RuleError(
-                f"candidate owners are not direct subclasses of "
-                f"{model.entity(super_id).name}"
+                f"candidate owners are not direct subclasses of {target.name}"
             )
-        declared = model.entity(super_id).prop_names()
         if (
             owners == subs
             and len(owners) >= min_subclasses
-            and not any(k.prop_name in declared for k in keys)
+            and target.prop_names().isdisjoint([k.prop_name for k in keys])
         ):
             pull_up_props(model, keys, owners, super_id)
             return RuleApplication(RuleKind.RULE1, keys, owners, super_id)
@@ -213,7 +205,7 @@ def exploit_multiple_inheritance(
             break
         keys = set(candidate.keys)
         owners = {
-            oid for oid in candidate.owners if prop_type_set(model, oid) >= keys
+            oid for oid in candidate.owners if model.entity(oid).prop_keys() >= keys
         }
         if len(owners) < 2:
             continue
@@ -223,7 +215,7 @@ def exploit_multiple_inheritance(
             for oid in owners
             if model.is_top_level(oid)
             and model.entity(oid).origin is Origin.SYNTHESIZED
-            and prop_type_set(model, oid) == keys
+            and model.entity(oid).prop_keys() == keys
         ]
         if reusable:
             target = min(reusable, key=lambda oid: model.entity(oid).name)

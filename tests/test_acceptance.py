@@ -18,7 +18,7 @@ from pullup.metrics import (
     hierarchy_restriction_equal,
 )
 from pullup.model import Origin, PropKey
-from pullup.modelfile import save_model
+from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleKind
 
 from conftest import left_example, names, right_example
@@ -159,10 +159,25 @@ def test_criterion_7_oracle_equivalence_tiny_models():
     _passed(f"7 oracle equivalence on {len(tiny)} tiny models")
 
 
+def _gate_ladder(counts, times):
+    """Gate the largest rung's time and the log-log growth slope of a ladder
+    ending at ~100k elements."""
+    numpy = pytest.importorskip("numpy")
+    assert counts[-1] >= 80_000  # the big run really is ~100k elements
+    assert times[-1] < 60.0
+    slope = numpy.polyfit(
+        [math.log(c) for c in counts], [math.log(t) for t in times], 1
+    )[0]
+    assert slope <= 2.2, (counts, times, slope)
+    return (
+        f"({counts[-1]} elements in {times[-1]:.1f}s, log-log slope {slope:.2f})"
+    )
+
+
 def _scaling_run(family, scales):
     """Restructure a seeded ladder of ``family`` models ending at ~100k
     elements; gate the largest run's time and the log-log growth slope."""
-    numpy = pytest.importorskip("numpy")
+    pytest.importorskip("numpy")
     counts, times = [], []
     for scale in scales:
         m = generate_model(GeneratorSpec(family, scale, seed=8))
@@ -173,15 +188,46 @@ def _scaling_run(family, scales):
         counts.append(n)
         times.append(elapsed)
         assert duplication_count(m) == 0
-    assert counts[-1] >= 80_000  # the big run really is ~100k elements
-    assert times[-1] < 60.0
-    slope = numpy.polyfit(
-        [math.log(c) for c in counts], [math.log(t) for t in times], 1
-    )[0]
-    assert slope <= 2.2, (counts, times, slope)
-    return (
-        f"({counts[-1]} elements in {times[-1]:.1f}s, log-log slope {slope:.2f})"
-    )
+    return _gate_ladder(counts, times)
+
+
+def _chain_document(n):
+    """``E<i>`` declares ``p<i>`` and specializes ``E<i-1>``: one chain ``n``
+    classes deep."""
+    lines = ["classmodel v1", "type T"]
+    for i in range(n):
+        lines += [f"entity E{i}", f"  prop p{i} T"]
+        if i:
+            lines.append(f"  super E{i - 1}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _lattice_document(n):
+    """Layers of two classes, each specializing both classes of the layer
+    above: a stack of diamonds ``n // 2`` layers deep."""
+    lines = ["classmodel v1", "type T"]
+    for i in range(n):
+        lines += [f"entity E{i}", f"  prop p{i} T"]
+        if i >= 2:
+            first = i - i % 2 - 2
+            lines += [f"  super E{first}", f"  super E{first + 1}"]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _load_run(document, sizes):
+    """Load a ladder of documents ending at ~100k elements; gate the largest
+    load's time and the log-log growth slope."""
+    pytest.importorskip("numpy")
+    counts, times = [], []
+    for n in sizes:
+        data = document(n)
+        start = time.perf_counter()
+        m = load_model(data)
+        elapsed = time.perf_counter() - start
+        counts.append(element_count(m))
+        times.append(elapsed)
+        assert len(m) == n and m.validate() == []
+    return _gate_ladder(counts, times)
 
 
 def test_criterion_8_desk_scale_performance():
@@ -197,6 +243,16 @@ def test_criterion_8_flat_scale_performance():
 def test_criterion_8_mixed_scale_performance():
     result = _scaling_run(Family.MIXED, (625, 1250, 2500, 5000))
     _passed(f"8 mixed-scale performance {result}")
+
+
+def test_criterion_8_deep_chain_load_performance():
+    result = _load_run(_chain_document, (4200, 8400, 16800, 33600))
+    _passed(f"8 deep-chain load performance {result}")
+
+
+def test_criterion_8_diamond_lattice_load_performance():
+    result = _load_run(_lattice_document, (3150, 6300, 12600, 25200))
+    _passed(f"8 diamond-lattice load performance {result}")
 
 
 def test_criterion_9_termination_guard():

@@ -1,79 +1,53 @@
 import pytest
 
-from pullup.analysis import (
-    SharingIndex,
-    common_props,
-    entity_set_frequency,
-    filter_by_properties,
-    prop_type_set,
-    rank_key,
-)
-from pullup.errors import UnknownEntityError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pullup.analysis import SharingIndex, common_props, rank_key, top_candidate
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.model import PropKey
 from pullup.rules import apply_candidate, apply_shared_superclass_rule
 
 from conftest import build_model, names
+from shapes import shapes
 
 
 def keyed(candidate):
     return [k.prop_name for k in candidate.keys]
 
 
-def test_prop_type_set_own_only():
-    m = build_model({"S": ["b"], "E": ["a:T", "b2:U"]}, edges=[("E", "S")], types=("T", "U"))
-    assert prop_type_set(m, m.entity_id("E")) == {PropKey("a", "T"), PropKey("b2", "U")}
-
-
-def test_prop_type_set_empty_and_unknown():
-    m = build_model({"E": []})
-    assert prop_type_set(m, m.entity_id("E")) == set()
-    with pytest.raises(UnknownEntityError):
-        prop_type_set(m, 123)
-
-
-def test_filter_by_properties_requires_identical_type():
+def test_common_props_keys_match_on_name_and_type():
     m = build_model(
         {"A": ["a:T"], "B": ["a:U"], "C": ["a:T", "b:T"]}, types=("T", "U")
     )
-    got = filter_by_properties(m, [PropKey("a", "T")], set(m.entity_ids()))
-    assert names(m, got) == ["A", "C"]
+    ranking = common_props(m, m.entity_ids())
+    assert (keyed(ranking[0]), names(m, ranking[0].owners)) == (["a"], ["A", "C"])
+    assert ranking[0].keys == (PropKey("a", "T"),)
 
 
-def test_filter_by_properties_empty_keys_is_identity():
-    m = build_model({"A": ["a"], "B": []})
-    ids = set(m.entity_ids())
-    assert filter_by_properties(m, [], ids) == ids
-
-
-def test_filter_by_properties_conjunction():
-    m = build_model({"A": ["a"], "B": ["a", "b"]})
-    got = filter_by_properties(m, [PropKey("a", "T"), PropKey("b", "T")], set(m.entity_ids()))
-    assert names(m, got) == ["B"]
+def frequencies(model, classes):
+    """Per owner set, named, the number of keys it shares: the entity-set
+    frequency ``rank_key`` ranks by."""
+    return {
+        tuple(names(model, c.owners)): len(c.keys)
+        for c in common_props(model, classes)
+    }
 
 
 def test_entity_set_frequency_exact_set_equality():
-    pq = frozenset({1, 2})
-    pr = frozenset({1, 3})
-    pairs = {
-        (PropKey("a", "T"), pq),
-        (PropKey("b", "T"), pq),
-        (PropKey("d", "T"), pr),
-    }
-    assert dict(entity_set_frequency(pairs)) == {pq: 2, pr: 1}
+    m = build_model({"E1": ["a", "b", "d"], "E2": ["a", "b"], "E3": ["d"]})
+    assert frequencies(m, m.entity_ids()) == {("E1", "E2"): 2, ("E1", "E3"): 1}
 
 
 def test_entity_set_frequency_singleton():
-    s = frozenset({7})
-    assert dict(entity_set_frequency({(PropKey("a", "T"), s)})) == {s: 1}
+    m = build_model({"E7": ["a"]})
+    assert frequencies(m, m.entity_ids()) == {("E7",): 1}
 
 
 def test_entity_set_frequency_order_insensitive_sets():
-    pairs = [
-        (PropKey("a", "T"), frozenset({1, 2})),
-        (PropKey("b", "T"), frozenset({2, 1})),
-    ]
-    assert dict(entity_set_frequency(pairs)) == {frozenset({1, 2}): 2}
+    m = build_model({"E1": ["a", "b"], "E2": ["b", "a"]})
+    e1, e2 = m.entity_ids()
+    assert frequencies(m, [e1, e2]) == frequencies(m, [e2, e1]) == {("E1", "E2"): 2}
 
 
 def test_common_props_abstract_ranking():
@@ -127,7 +101,10 @@ def test_common_props_invariants(left_model, right_model):
         for c in ranking:
             assert len(set(c.keys)) == len(c.keys)
             # every owner declares every key, re-checked independently
-            assert filter_by_properties(m, c.keys, c.owners) == set(c.owners)
+            declaring = {
+                e.id for e in m.entities() if all(k in e.properties for k in c.keys)
+            }
+            assert declaring == set(c.owners)
 
 
 def test_common_props_collapse_loses_nothing(left_model):
@@ -136,9 +113,9 @@ def test_common_props_collapse_loses_nothing(left_model):
     ranking = common_props(m, ids)
     from_ranking = {(k, c.owners) for c in ranking for k in c.keys}
     pes = {
-        (k, frozenset(filter_by_properties(m, [k], ids)))
+        (k, frozenset(o for o in ids if k in m.entity(o).properties))
         for eid in ids
-        for k in prop_type_set(m, eid)
+        for k in m.entity(eid).properties
     }
     assert from_ranking == pes
 
@@ -212,3 +189,30 @@ def test_sharing_index_ranks_by_current_frequency():
     # Both groups now share one key; the tie goes to the names.
     assert index.top() == _top_by_ranking(m)
     assert names(m, index.top().owners) == ["C", "D"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes(), st.data())
+def test_top_candidate_is_first_of_ranking(model, data):
+    ids = model.entity_ids()
+    subset = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids) + 2))
+    for classes in (ids, subset):
+        ranking = common_props(model, classes)
+        assert top_candidate(model, classes) == (ranking[0] if ranking else None)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_top_candidate_on_generated_models(family):
+    m = generate_model(GeneratorSpec(family, 25, seed=6))
+    groups = [m.entity_ids()] + [
+        m.direct_subclasses(eid) for eid in m.entity_ids() if m.direct_subclasses(eid)
+    ]
+    for classes in groups:
+        assert top_candidate(m, classes) == common_props(m, classes)[0]
+
+
+def test_top_candidate_breaks_ties_by_names():
+    # {C, D} and {A, B} tie on owner and key counts; the names decide.
+    m = build_model({"C": ["x"], "D": ["x"], "A": ["y"], "B": ["y"], "E": ["z"]})
+    assert names(m, top_candidate(m, m.entity_ids()).owners) == ["A", "B"]
+    assert top_candidate(m, []) is None

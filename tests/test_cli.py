@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pullup
 from pullup.cli import main
 from pullup.modelfile import load_model
 
@@ -101,10 +104,14 @@ def test_min_subclasses_flag(tmp_path):
 
 
 def test_module_invocation():
+    # The child imports the package the tests import, installed or not.
+    src = str(Path(pullup.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pullup", "metrics", str(FIXTURES / "left.model")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "declarations   8" in proc.stdout
@@ -184,3 +191,38 @@ def test_unwritable_output_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert main(["restructure", str(FIXTURES / "left.model"), "-o", str(out)]) == 1
     assert out.read_bytes() == b"previous output\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.model"]
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [("--max-iterations", ["0", "-3", "x"]), ("--scale", ["0", "-1", "x"])],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, flag, values):
+    out = tmp_path / "out.model"
+    if flag == "--scale":
+        args = ["generate", "--family", "flat", "--seed", "1", "-o", str(out)]
+    else:
+        args = ["restructure", str(FIXTURES / "left.model"), "-o", str(out)]
+    for value in values:
+        assert main(args + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_writes_atomically(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "gen.model"
+    out.write_bytes(b"old")
+    args = ["generate", "--family", "star", "--scale", "4", "--seed", "2"]
+    args += ["-o", str(out)]
+    assert main(args) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["gen.model"]
+    assert load_model(out.read_bytes()).validate() == []
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    out.write_bytes(b"old")
+    monkeypatch.setattr("pullup.cli.os.replace", fail)
+    assert main(args) == 1
+    assert out.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["gen.model"]

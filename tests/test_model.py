@@ -4,6 +4,7 @@ from pullup.errors import (
     CycleError,
     DuplicateNameError,
     GeneralizationError,
+    InvalidNameError,
     PropertyNotFoundError,
     UnknownEntityError,
     UnknownTypeError,
@@ -200,7 +201,25 @@ def test_validate_reports_a_wrong_declaration_counter():
 
 def test_names_must_be_tokens():
     m = ClassModel()
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(InvalidNameError):
         m.add_type("bad name")
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(InvalidNameError):
         m.add_entity("")
+    m.add_type("T")
+    e = m.add_entity("E")
+    with pytest.raises(InvalidNameError):
+        m.add_property(e, PropKey("a#b", "T"))
+    assert m.validate() == [] and m.declared_property_count == 0
+
+
+def test_prop_keys_own_only():
+    m = build_model(
+        {"S": ["b"], "E": ["a:T", "b2:U"], "F": []},
+        edges=[("E", "S")],
+        types=("T", "U"),
+    )
+    own = {PropKey("a", "T"), PropKey("b2", "U")}
+    assert m.entity(m.entity_id("E")).prop_keys() == own
+    assert m.entity(m.entity_id("F")).prop_keys() == set()
+    with pytest.raises(UnknownEntityError):
+        m.entity(123)

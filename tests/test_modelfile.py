@@ -6,14 +6,17 @@ from pullup.engine import EngineOptions, restructure
 from pullup.errors import (
     CycleError,
     DuplicateNameError,
+    ModelError,
     ModelSyntaxError,
     UnknownEntityError,
     UnknownTypeError,
 )
-from pullup.model import ClassModel, Origin, PropKey
+from pullup.model import _NAME_RE, ClassModel, Origin, PropKey
 from pullup.modelfile import load_model, save_model
 
 from conftest import FIXTURES, build_model, left_example
+from reference_loader import reference_load
+from shapes import shapes
 
 
 def test_load_left_fixture():
@@ -122,3 +125,122 @@ def test_round_trip_any_valid_model(model):
     assert reloaded == model
     assert save_model(reloaded) == data
     assert reloaded.validate() == []
+
+
+# Every character str.split() splits on; none of them occurs inside a token.
+SPLITTERS = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(blacklist_categories=()),
+            st.sampled_from(SPLITTERS + ["#"]),
+        )
+    )
+)
+def test_tokens_of_a_comment_free_line_are_names(text):
+    # The loader relies on this instead of matching each token again.
+    for line in text.splitlines():
+        for token in line.partition("#")[0].split():
+            assert _NAME_RE.fullmatch(token)
+
+
+def _outcome(load, data):
+    """What loading ``data`` gives: the error, or what the model holds."""
+    try:
+        m = load(data)
+    except ModelError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    assert m.validate() == []
+    return (
+        save_model(m),
+        m.entity_ids(),
+        [e.properties for e in m.entities()],
+        m.declared_property_count,
+        sorted(m.generalizations()),
+    )
+
+
+def _assert_loads_like_reference(data):
+    got = _outcome(load_model, data)
+    assert got == _outcome(reference_load, data)
+    if not isinstance(got[0], bytes):
+        assert issubclass(got[0], ModelError)
+
+
+VOCABULARY = [
+    "classmodel", "v1", "type", "entity", "prop", "super", "synthesized",
+    "T", "U", "A", "B", "E1", "E2", "NewClass1", "a", "b", "#", " ", "\t",
+    "　", "\x85", " ", "\r", "\x00", "é",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: b"classmodel v1\n" + b),
+        st.lists(
+            st.lists(st.sampled_from(VOCABULARY), max_size=5).map(" ".join),
+            max_size=12,
+        ).map(lambda lines: "classmodel v1\n" + "\n".join(lines)),
+    )
+)
+def test_load_arbitrary_input_like_reference(data):
+    _assert_loads_like_reference(data)
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = save_model(draw(shapes())).decode().splitlines()
+    names = [line.split()[1] for line in lines if line.startswith("entity ")]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(
+            st.sampled_from(["delete", "duplicate", "swap", "token", "super", "text"])
+        )
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(VOCABULARY + names)
+            )
+            lines[i] = " ".join(tokens)
+        elif op == "super":
+            lines.insert(i + 1, f"  super {draw(st.sampled_from(names + ['Missing']))}")
+        else:
+            lines.insert(i, draw(st.text(max_size=12)))
+        if not lines:
+            break
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_load_mutated_documents_like_reference(data):
+    _assert_loads_like_reference(data)
+
+
+def test_super_errors_name_the_first_failing_line():
+    # Line 5 closes a cycle with line 3; the unresolved name on line 7 is
+    # not reached. Moved ahead of the cycle, the unresolved name is named.
+    doc = (
+        "classmodel v1\n"
+        "entity A\n  super B\n"
+        "entity B\n  super A\n"
+        "entity C\n  super Missing\n"
+    )
+    cycle = "^line 5: generalization B -> A would create a cycle$"
+    with pytest.raises(CycleError, match=cycle):
+        load_model(doc)
+    doc = "classmodel v1\nentity A\n  super Missing\n  super B\nentity B\n  super A\n"
+    with pytest.raises(UnknownEntityError, match="^line 3: unknown entity"):
+        load_model(doc)
