@@ -88,6 +88,17 @@ def top_candidate(model: ClassModel, classes: Iterable[int]) -> Optional[Candida
     return Candidate(tuple(sorted(keys)), owners)
 
 
+def shares_a_key(model: ClassModel, classes: Iterable[int]) -> bool:
+    """Whether two of ``classes``, distinct ids, declare the same key."""
+    seen: set[PropKey] = set()
+    for eid in classes:
+        keys = model.entity(eid).properties
+        if not seen.isdisjoint(keys):
+            return True
+        seen.update(keys)
+    return False
+
+
 class SharingIndex:
     """The top candidate of ``common_props`` over the top-level classes,
     kept up to date as the model changes.

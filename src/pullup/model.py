@@ -359,6 +359,11 @@ class ClassModel:
         )
 
 
+# Builds a PropKey without running its Python-level __new__, on the
+# loader's hottest line.
+_new_tuple = tuple.__new__
+
+
 class ModelBuilder:
     """Builds a :class:`ClassModel` in one pass over a document's directives:
     types, then entities, each followed by its properties. Generalizations
@@ -397,7 +402,7 @@ class ModelBuilder:
 
     def add_property(self, name: str, type_name: str) -> None:
         """Declare a property of the entity added last."""
-        key = PropKey(name, type_name)
+        key = _new_tuple(PropKey, (name, type_name))
         if type_name in self.model._types and name not in self._names:
             self._names.add(name)
             self._current.properties.append(key)

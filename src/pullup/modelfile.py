@@ -79,7 +79,7 @@ def load_model(data: bytes | str) -> ClassModel:
     build = ModelBuilder()
     current: int | None = None
     for lineno, raw in lines:
-        tokens = raw.partition("#")[0].split()
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         directive = tokens[0]

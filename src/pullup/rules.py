@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Optional, Sequence
 
-from .analysis import Candidate, common_props, top_candidate
+from .analysis import Candidate, common_props, shares_a_key, top_candidate
 from .errors import RuleError
 from .metrics import duplicated_keys
 from .model import ClassModel, Origin, PropKey
@@ -125,6 +125,9 @@ def apply_shared_superclass_rule(
         target = model.entity(super_id)
         if class_ids != model.child_map().get(super_id, frozenset()):
             raise RuleError(f"classes are not the direct subclasses of {target.name}")
+    if len(class_ids) > 1 and not shares_a_key(model, class_ids):
+        # Every rule needs a key that two of the classes declare.
+        return None
     candidate = top_candidate(model, class_ids)
     if candidate is None:
         return None

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullup.analysis import SharingIndex, common_props, rank_key, top_candidate
+from pullup.analysis import (
+    SharingIndex,
+    common_props,
+    rank_key,
+    shares_a_key,
+    top_candidate,
+)
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.model import PropKey
 from pullup.rules import apply_candidate, apply_shared_superclass_rule
@@ -209,6 +215,14 @@ def test_top_candidate_on_generated_models(family):
     ]
     for classes in groups:
         assert top_candidate(m, classes) == common_props(m, classes)[0]
+
+
+def test_shares_a_key_needs_name_and_type():
+    m = build_model({"A": ["a:T"], "B": ["a:U", "b:T"], "C": ["b:T"]}, types=("T", "U"))
+    a, b, c = m.entity_ids()
+    assert not shares_a_key(m, [a, b])
+    assert shares_a_key(m, [a, b, c])
+    assert not shares_a_key(m, [])
 
 
 def test_top_candidate_breaks_ties_by_names():
