@@ -102,11 +102,11 @@ class _CoreState:
 
     def touch(self, app: RuleApplication) -> None:
         """Mark what ``app`` changed and update the index with it."""
-        model = self.model
+        parents = self.model.parent_map()
         changed = {app.target, *app.sources}
         hit = set(changed)
         for eid in changed:
-            hit.update(model.direct_superclasses(eid))
+            hit.update(parents.get(eid, ()))
         if app.created is not None:
             self._newest = max(self._newest, app.created)
         for eid in hit:
