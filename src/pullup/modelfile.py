@@ -53,7 +53,8 @@ def load_model(data: bytes | str) -> ClassModel:
 
     Errors carry the 1-based line number of the offending directive. Forward
     references in ``super`` lines are allowed; everything else must be
-    declared before use. Loading takes time linear in the document's size.
+    declared before use. A document that loads does so in time linear in
+    its size.
     """
     if isinstance(data, bytes):
         try:

@@ -173,7 +173,7 @@ def _assert_loads_like_reference(data):
 VOCABULARY = [
     "classmodel", "v1", "type", "entity", "prop", "super", "synthesized",
     "T", "U", "A", "B", "E1", "E2", "NewClass1", "a", "b", "#", " ", "\t",
-    "　", "\x85", " ", "\r", "\x00", "é",
+    "\u3000", "\x85", "\u2028", "\r", "\x00", "\xe9",
 ]
 
 
