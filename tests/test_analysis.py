@@ -11,7 +11,7 @@ from pullup.analysis import (
     top_candidate,
 )
 from pullup.generate import Family, GeneratorSpec, generate_model
-from pullup.model import PropKey
+from pullup.model import PropKey, UnknownEntityError
 from pullup.rules import apply_candidate, apply_shared_superclass_rule
 
 from conftest import build_model, names
@@ -29,6 +29,21 @@ def test_common_props_keys_match_on_name_and_type():
     ranking = common_props(m, m.entity_ids())
     assert (keyed(ranking[0]), names(m, ranking[0].owners)) == (["a"], ["A", "C"])
     assert ranking[0].keys == (PropKey("a", "T"),)
+
+
+def test_prop_type_set_own_only():
+    """The own-keys set (once ``prop_type_set``, now ``Entity.prop_keys``)
+    holds declared keys only, none inherited from a superclass."""
+    m = build_model({"S": ["b"], "E": ["a:T", "b2:U"]}, edges=[("E", "S")], types=("T", "U"))
+    own = m.entity(m.entity_id("E")).prop_keys()
+    assert own == {PropKey("a", "T"), PropKey("b2", "U")}
+
+
+def test_prop_type_set_empty_and_unknown():
+    m = build_model({"E": []})
+    assert m.entity(m.entity_id("E")).prop_keys() == set()
+    with pytest.raises(UnknownEntityError):
+        m.entity(123)
 
 
 def frequencies(model, classes):

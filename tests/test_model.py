@@ -211,15 +211,3 @@ def test_names_must_be_tokens():
         m.add_property(e, PropKey("a#b", "T"))
     assert m.validate() == [] and m.declared_property_count == 0
 
-
-def test_prop_keys_own_only():
-    m = build_model(
-        {"S": ["b"], "E": ["a:T", "b2:U"], "F": []},
-        edges=[("E", "S")],
-        types=("T", "U"),
-    )
-    own = {PropKey("a", "T"), PropKey("b2", "U")}
-    assert m.entity(m.entity_id("E")).prop_keys() == own
-    assert m.entity(m.entity_id("F")).prop_keys() == set()
-    with pytest.raises(UnknownEntityError):
-        m.entity(123)
