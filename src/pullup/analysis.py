@@ -112,19 +112,13 @@ class SharingIndex:
 
     def __init__(self, model: ClassModel) -> None:
         self._model = model
-        self._keys: dict[int, set[PropKey]] = {}
-        owners: dict[PropKey, list[int]] = {}
         parents = model.parent_map()
-        for e in model.entities():
-            if not parents.get(e.id):
-                self._keys[e.id] = set(e.properties)
-                for key in e.properties:
-                    owners.setdefault(key, []).append(e.id)
-        self._owners = {key: frozenset(ids) for key, ids in owners.items()}
-        self._groups: dict[frozenset[int], set[PropKey]] = {}
-        for key, ids in self._owners.items():
-            if len(ids) > 1:
-                self._groups.setdefault(ids, set()).add(key)
+        self._keys = {
+            e.id: set(e.properties) for e in model.entities() if not parents.get(e.id)
+        }
+        groups = _groups(model, self._keys)
+        self._owners = {key: ids for ids, keys in groups.items() for key in keys}
+        self._groups = {ids: set(keys) for ids, keys in groups.items() if len(ids) > 1}
         self._heap = [self._entry(ids) for ids in self._groups]
         heapify(self._heap)
 

@@ -15,8 +15,9 @@ exactly what re-ranking everything in every pass would:
   or created during it waits for the next pass.
 * Rule 3 reads its candidate from a :class:`~pullup.analysis.SharingIndex`
   over the top-level classes instead of ranking all of them in every pass.
-  The index is built on the first rule-3 attempt and then updated from the
-  sources and the target of each firing.
+  The index is built once two top-level classes share a key (until then an
+  attempt fires nothing) and then updated from the sources and the target
+  of each firing.
 
 The dirty marks and the index are dropped when the core fixpoint ends,
 before the multiple-inheritance pass. ``tests/reference_engine.py`` keeps the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Optional
 
-from .analysis import SharingIndex
+from .analysis import SharingIndex, shares_a_key
 from .errors import IterationLimitExceeded, RuleError
 from .metrics import MetricsSnapshot, snapshot
 from .model import ClassModel
@@ -79,6 +80,8 @@ class _CoreState:
         ids = model.entity_ids()
         self.dirty: set[int] = set(ids)
         self.index: Optional[SharingIndex] = None
+        # No two top-level classes share a key, and no firing changed one since.
+        self.unshared = False
         self._newest = ids[-1] if ids else 0
         # The running sweep's worklist; ids in (cursor, limit] are ahead of it.
         self._queue: list[int] = []
@@ -116,6 +119,8 @@ class _CoreState:
                     heappush(self._queue, eid)
         if self.index is not None:
             self.index.update(changed)
+        elif self.unshared:
+            self.unshared = all(parents.get(eid) for eid in changed)
 
 
 def _record(
@@ -180,6 +185,12 @@ def pass_rule_3(
     if state is None:
         state = _CoreState(model)
     if state.index is None:
+        parents = model.parent_map()
+        if state.unshared or not shares_a_key(
+            model, (eid for eid in model.entity_ids() if not parents.get(eid))
+        ):
+            state.unshared = True
+            return False  # a candidate with one owner fires nothing
         state.index = SharingIndex(model)
     candidate = state.index.top()
     if candidate is None:
@@ -244,5 +255,6 @@ def _finish(
             a.created for a in applications if a.created is not None
         ),
         metrics_before=before,
-        metrics_after=snapshot(model),
+        # Every application is atomic: a run that fired nothing changed nothing.
+        metrics_after=snapshot(model) if applications else before,
     )

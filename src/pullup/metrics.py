@@ -49,26 +49,22 @@ def duplication_count(model: ClassModel) -> int:
 
 
 def max_inheritance_depth(model: ClassModel) -> int:
-    """Length of the longest generalization chain (0 for a flat model)."""
-    parents = model.parent_map()
-    depth: dict[int, int] = {}
-    for eid in model.entity_ids():
-        if eid in depth:
-            continue
-        stack = [eid]
-        while stack:
-            cur = stack[-1]
-            sups = parents.get(cur)
-            if sups:
-                pending = [p for p in sups if p not in depth]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                depth[cur] = 1 + max([depth[p] for p in sups])
-            else:
-                depth[cur] = 0
-            stack.pop()
-    return max(depth.values(), default=0)
+    """Length of the longest generalization chain (0 for a flat model): the
+    number of layers, less one, of a Kahn layering from the roots, in which
+    a class joins the layer after the last of its superclasses."""
+    parents, children = model.parent_map(), model.child_map()
+    waiting = {eid: len(sups) for eid, sups in parents.items() if sups}
+    layer = [eid for eid in model.entity_ids() if eid not in waiting]
+    depth = -1
+    while layer:
+        depth, below = depth + 1, []
+        for eid in layer:
+            for sub in children.get(eid, ()):
+                waiting[sub] -= 1
+                if not waiting[sub]:
+                    below.append(sub)
+        layer = below
+    return max(depth, 0)
 
 
 def top_level_count(model: ClassModel) -> int:

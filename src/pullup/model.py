@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -424,24 +425,37 @@ class ModelBuilder:
         model._decl_count = sum(len(e.properties) for e in model._entities.values())
         by_name, edges = model._by_name, model._edges
         parents, children = model._parents, model._children
-        for sub, name, _ in self._supers:
-            sup = by_name.get(name)
-            if sup is None or sup == sub or (sub, sup) in edges:
-                break
-            edges.add((sub, sup))
-            parents.setdefault(sub, set()).add(sup)
-            children.setdefault(sup, set()).add(sub)
-        else:
-            if not model._cycle_members():
-                return model
-        # Replay in order through the checked primitive to find the edge at
-        # fault; each check there depends only on the edges before it.
-        edges.clear()
-        parents.clear()
-        children.clear()
-        for sub, name, line in self._supers:
-            try:
-                model.add_generalization(sub, model.entity_id(name))
-            except ModelError as exc:
-                raise type(exc)(f"line {line}: {exc}") from None
-        return model
+
+        def link(noted: list[tuple[int, str, int]]) -> int:
+            """Make ``noted``'s edges the model's, up to the first unresolved,
+            self or duplicate one; return how many there are."""
+            edges.clear()
+            parents.clear()
+            children.clear()
+            for sub, name, _ in noted:
+                sup = by_name.get(name)
+                if sup is None or sup == sub or (sub, sup) in edges:
+                    break
+                edges.add((sub, sup))
+                parents.setdefault(sub, set()).add(sup)
+                children.setdefault(sup, set()).add(sub)
+            return len(edges)
+
+        supers = self._supers
+        good = link(supers)
+        if good == len(supers) and not model._cycle_members():
+            return model
+        # The edge at fault is the last of the shortest prefix that holds a
+        # cycle, if a prefix of the good edges does, else the first bad edge.
+        def cyclic(count: int) -> bool:
+            link(supers[:count])
+            return bool(model._cycle_members())
+
+        fault = bisect_left(range(good + 1), True, key=cyclic) - 1
+        link(supers[:fault])
+        sub, name, line = supers[fault]
+        try:  # the checked primitive raises the error the edge always raised
+            model.add_generalization(sub, model.entity_id(name))
+        except ModelError as exc:
+            raise type(exc)(f"line {line}: {exc}") from None
+        raise AssertionError(f"line {line}: no fault found")

@@ -222,38 +222,21 @@ def exploit_multiple_inheritance(
         ]
         if reusable:
             target = min(reusable, key=lambda oid: model.entity(oid).name)
-            others = sorted(owners - {target})
-            for key in candidate.keys:
-                for oid in others:
-                    model.delete_property(oid, key.prop_name)
-            for oid in others:
-                if not model.has_generalization(oid, target):
-                    model.add_generalization(oid, target)
-            app = RuleApplication(
-                RuleKind.MULTI_INHERIT_REUSE,
-                candidate.keys,
-                frozenset(others),
-                target,
-            )
-            applications.append(app)
-            if on_apply is not None:
-                on_apply(app)
+            sources = sorted(owners - {target})
+            kind, created = RuleKind.MULTI_INHERIT_REUSE, None
         else:
-            nc = model.create_entity()
+            target = created = model.create_entity()
+            sources = sorted(owners)
+            kind = RuleKind.MULTI_INHERIT_NEW
             for key in candidate.keys:
-                model.add_property(nc, key)
-            for oid in sorted(owners):
-                for key in candidate.keys:
-                    model.delete_property(oid, key.prop_name)
-                model.add_generalization(oid, nc)
-            app = RuleApplication(
-                RuleKind.MULTI_INHERIT_NEW,
-                candidate.keys,
-                frozenset(owners),
-                nc,
-                created=nc,
-            )
-            applications.append(app)
-            if on_apply is not None:
-                on_apply(app)
+                model.add_property(target, key)
+        for oid in sources:
+            for key in candidate.keys:
+                model.delete_property(oid, key.prop_name)
+            if not model.has_generalization(oid, target):
+                model.add_generalization(oid, target)
+        app = RuleApplication(kind, candidate.keys, frozenset(sources), target, created)
+        applications.append(app)
+        if on_apply is not None:
+            on_apply(app)
     return applications

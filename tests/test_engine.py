@@ -8,11 +8,14 @@ import pytest
 from pullup import engine
 from pullup.engine import EngineOptions, pass_rule_3, pass_rules_1_2, restructure
 from pullup.errors import IterationLimitExceeded, RuleError
+from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import duplicated_keys, duplication_count, hierarchy_restriction_equal
 from pullup.model import Origin, PropKey
+from pullup.modelfile import save_model
 from pullup.rules import RuleApplication, RuleKind
 
 from conftest import build_model, left_example, names, right_example
+from reference_engine import reference_restructure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -127,8 +130,6 @@ def test_mid_pass_entities_not_visited_until_next_pass():
 
 
 def test_restructure_deterministic(left_model):
-    from pullup.modelfile import save_model
-
     m1, m2 = left_example(), left_example()
     r1 = restructure(m1, EngineOptions(multi_inheritance=True))
     r2 = restructure(m2, EngineOptions(multi_inheritance=True))
@@ -196,6 +197,58 @@ def test_clean_superclasses_are_not_ranked_again(monkeypatch):
     ranked.clear()
     assert pass_rules_1_2(m, EngineOptions(), None, state) is False
     assert ranked == []
+
+
+def _count_index_builds(monkeypatch):
+    built = []
+    real = engine.SharingIndex
+
+    def counting(model):
+        built.append(model)
+        return real(model)
+
+    monkeypatch.setattr(engine, "SharingIndex", counting)
+    return built
+
+
+def _assert_like_reference(model, options):
+    out, ref = model.clone(), model.clone()
+    report = restructure(out, options)
+    assert (report.applications, report.iterations) == reference_restructure(ref, options)
+    assert save_model(out) == save_model(ref)
+    return report
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_rule_3_index_is_built_only_when_top_level_classes_share_a_key(
+    monkeypatch, multi
+):
+    options = EngineOptions(multi_inheritance=multi)
+    built = _count_index_builds(monkeypatch)
+    # Every star's keys carry its own number, so no two roots share one.
+    _assert_like_reference(
+        generate_model(GeneratorSpec(Family.STAR_HIERARCHIES, 60, 4)), options
+    )
+    assert built == []
+    flat = generate_model(GeneratorSpec(Family.FLAT_SHARED, 60, 4))
+    report = _assert_like_reference(flat, options)
+    assert len(built) == 1
+    assert report.iterations > 2  # the one index served every pass
+
+
+def test_rule_3_looks_again_after_a_top_level_class_changes(monkeypatch):
+    # Pass 1: rule 1 hoists a into R1; R0 and P share nothing yet. Pass 2:
+    # rule 1 hoists a into the top-level R0, which now shares it with P.
+    m = build_model(
+        {"R0": [], "P": ["a"], "R1": [], "Z": ["a"], "X": ["a"], "Y": ["a"]},
+        edges=[("R1", "R0"), ("Z", "R0"), ("X", "R1"), ("Y", "R1")],
+    )
+    built = _count_index_builds(monkeypatch)
+    report = _assert_like_reference(m, EngineOptions())
+    assert [a.rule for a in report.applications] == [
+        RuleKind.RULE1, RuleKind.RULE1, RuleKind.RULE3
+    ]
+    assert len(built) == 1
 
 
 def test_termination_guard_raises_rule_error(monkeypatch, left_model):

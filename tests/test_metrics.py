@@ -2,6 +2,7 @@ from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pullup.engine import EngineOptions, restructure
 from pullup.errors import ModelError
@@ -15,6 +16,7 @@ from pullup.metrics import (
     snapshot,
 )
 from pullup.model import ClassModel
+from pullup.modelfile import load_model
 
 from conftest import build_model
 from shapes import shapes
@@ -147,12 +149,26 @@ def test_snapshot_matches_naive_count_on_generated_models(family):
             assert report.metrics_after == snapshot(out)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(model=shapes())
-def test_snapshot_matches_naive_count_on_awkward_shapes(model):
-    assert astuple(snapshot(model)) == naive_snapshot(model)
-    restructure(model, EngineOptions(multi_inheritance=True))
-    assert astuple(snapshot(model)) == naive_snapshot(model)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    model=shapes(),
+    options=st.sampled_from(
+        [EngineOptions(multi_inheritance=multi, min_subclasses=k)
+         for multi in (False, True) for k in (1, 2, 3)]
+    ),
+)
+def test_snapshot_matches_naive_count_on_awkward_shapes(model, options):
+    before = naive_snapshot(model)
+    report = restructure(model, options)
+    assert astuple(report.metrics_before) == before
+    assert astuple(report.metrics_after) == naive_snapshot(model)
+    again = restructure(model, options)
+    assert astuple(again.metrics_after) == naive_snapshot(model)
+    # With the multiple-inheritance pass and ``min_subclasses=1`` a second
+    # run can still fire (an open idempotence defect); otherwise it fires
+    # nothing and reuses its first snapshot.
+    if not again.applications:
+        assert again.metrics_after == again.metrics_before == report.metrics_after
 
 
 def test_snapshot_counts_a_deep_chain_a_diamond_and_a_deleted_edge():
@@ -165,3 +181,34 @@ def test_snapshot_counts_a_deep_chain_a_diamond_and_a_deleted_edge():
     assert astuple(snapshot(chain)) == naive_snapshot(chain) == (6, 0, 0, 1, 5)
     assert astuple(snapshot(diamond)) == naive_snapshot(diamond) == (4, 2, 1, 1, 2)
     assert astuple(snapshot(cut)) == naive_snapshot(cut) == (3, 0, 0, 2, 1)
+
+
+def _layered_document(widths, full):
+    """Layers of classes ``widths`` wide; each class specializes every class
+    of the layer above when ``full``, else only the one above it, if any."""
+    lines, above = ["classmodel v1"], []
+    for depth, width in enumerate(widths):
+        layer = [f"L{depth}C{i}" for i in range(width)]
+        for i, name in enumerate(layer):
+            lines.append(f"entity {name}")
+            supers = above if full else above[i : i + 1]
+            lines += [f"  super {sup}" for sup in supers]
+        above = layer
+    return "\n".join(lines) + "\n"
+
+
+def test_depth_of_a_deep_chain_needs_no_recursion():
+    # A recursive walk would exceed the interpreter's recursion limit.
+    chain = load_model(_layered_document([1] * 50_000, full=False))
+    assert max_inheritance_depth(chain) == 49_999
+
+
+def test_depth_of_wide_and_diamond_lattices_matches_naive():
+    for widths in ([3, 2, 3, 1, 2, 2, 3], [40, 1, 40], [2] * 12):
+        lattice = load_model(_layered_document(widths, full=True))
+        assert astuple(snapshot(lattice)) == naive_snapshot(lattice)
+        assert max_inheritance_depth(lattice) == len(widths) - 1
+    # Roots in every layer; only the C0 classes chain through all five.
+    ragged = load_model(_layered_document([5, 3, 4, 1, 6], full=False))
+    assert astuple(snapshot(ragged)) == naive_snapshot(ragged)
+    assert max_inheritance_depth(ragged) == 4

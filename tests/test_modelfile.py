@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from pullup.engine import EngineOptions, restructure
 from pullup.errors import (
     CycleError,
     DuplicateNameError,
+    GeneralizationError,
     ModelError,
     ModelSyntaxError,
     UnknownEntityError,
@@ -244,3 +247,34 @@ def test_super_errors_name_the_first_failing_line():
     doc = "classmodel v1\nentity A\n  super Missing\n  super B\nentity B\n  super A\n"
     with pytest.raises(UnknownEntityError, match="^line 3: unknown entity"):
         load_model(doc)
+
+
+def _backward_chain(n, last=None):
+    """``E<i>`` specializes ``E<i-1>``, and ``E0`` specializes ``E<n-1>``: the
+    last ``super`` line closes a cycle through all ``n`` classes, unless
+    ``last`` replaces the name it gives."""
+    lines = ["classmodel v1"]
+    for i in range(n):
+        lines += [f"entity E{i}", f"  super E{(i - 1) % n}"]
+    if last is not None:
+        lines[-1] = f"  super {last}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "last, error, message",
+    [
+        (None, CycleError, "generalization E7999 -> E7998 would create a cycle"),
+        ("Missing", UnknownEntityError, "unknown entity name Missing"),
+        ("E7999", GeneralizationError, "self-generalization E7999"),
+    ],
+)
+def test_errors_on_deep_chains_are_found_fast(last, error, message):
+    # Within the bound only if finding the line at fault does not walk the
+    # ancestors once per edge, which is quadratic on a chain.
+    doc = _backward_chain(8000, last)
+    start = time.perf_counter()
+    with pytest.raises(error, match=f"^line 16001: {message}$"):
+        load_model(doc)
+    assert time.perf_counter() - start < 1.0
+    _assert_loads_like_reference(_backward_chain(300, last).encode())
