@@ -88,6 +88,15 @@ def top_candidate(model: ClassModel, classes: Iterable[int]) -> Optional[Candida
     return Candidate(tuple(sorted(keys)), owners)
 
 
+def sharing_classes(model: ClassModel) -> list[int]:
+    """The entities, in entity order, that declare a key some other entity
+    also declares. Without a duplicated key no entity is read."""
+    shared = model.duplicated_keys()
+    if not shared:
+        return []
+    return [e.id for e in model.entities() if not shared.isdisjoint(e.properties)]
+
+
 def shares_a_key(model: ClassModel, classes: Iterable[int]) -> bool:
     """Whether two of ``classes``, distinct ids, declare the same key."""
     seen: set[PropKey] = set()

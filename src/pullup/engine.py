@@ -13,11 +13,17 @@ exactly what re-ranking everything in every pass would:
   each, as dirty. A sweep visits only dirty superclasses, in entity order:
   one marked ahead of the sweep is still visited in it, one marked behind it
   or created during it waits for the next pass.
+* The first sweep starts with every entity dirty under ``min_subclasses=1``,
+  where rule 1 may hoist from an only child. Otherwise every firing needs a
+  key that two direct subclasses declare, so it starts with only the
+  superclasses of the entities that declare a key some other entity also
+  declares (read from the model's live owner count): none on a model
+  without duplication.
 * Rule 3 reads its candidate from a :class:`~pullup.analysis.SharingIndex`
   over the top-level classes instead of ranking all of them in every pass.
   The index is built once two top-level classes share a key (until then an
-  attempt fires nothing) and then updated from the sources and the target
-  of each firing.
+  attempt fires nothing; a model without duplication is not even scanned)
+  and then updated from the sources and the target of each firing.
 
 The dirty marks and the index are dropped when the core fixpoint ends,
 before the multiple-inheritance pass. ``tests/reference_engine.py`` keeps the
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Optional
 
-from .analysis import SharingIndex, shares_a_key
+from .analysis import SharingIndex, shares_a_key, sharing_classes
 from .errors import IterationLimitExceeded, RuleError
 from .metrics import MetricsSnapshot, snapshot
 from .model import ClassModel
@@ -75,10 +81,12 @@ class _CoreState:
     the next id), so a sweep orders its worklist by id.
     """
 
-    def __init__(self, model: ClassModel) -> None:
+    def __init__(self, model: ClassModel, min_subclasses: int) -> None:
         self.model = model
         ids = model.entity_ids()
-        self.dirty: set[int] = set(ids)
+        self.dirty: set[int] = (
+            set(ids) if min_subclasses < 2 else _sharing_parents(model)
+        )
         self.index: Optional[SharingIndex] = None
         # No two top-level classes share a key, and no firing changed one since.
         self.unshared = False
@@ -123,6 +131,17 @@ class _CoreState:
             self.unshared = all(parents.get(eid) for eid in changed)
 
 
+def _sharing_parents(model: ClassModel) -> set[int]:
+    """The superclasses of the entities that declare a duplicated key.
+
+    Unless rule 1 may hoist from an only child, a rules-1/2 attempt fires
+    only where two direct subclasses declare the same key, so these are the
+    only superclasses a first sweep can fire on.
+    """
+    parents = model.parent_map()
+    return {sup for eid in sharing_classes(model) for sup in parents.get(eid, ())}
+
+
 def _record(
     model: ClassModel,
     options: EngineOptions,
@@ -160,7 +179,7 @@ def pass_rules_1_2(
     Entities created mid-pass are not visited until the next pass.
     """
     if state is None:
-        state = _CoreState(model)
+        state = _CoreState(model, options.min_subclasses)
     applied = False
     children = model.child_map()
     for eid in state.sweep():
@@ -183,11 +202,15 @@ def pass_rule_3(
 ) -> bool:
     """One rule-3 attempt over the current top-level classes."""
     if state is None:
-        state = _CoreState(model)
+        state = _CoreState(model, options.min_subclasses)
     if state.index is None:
         parents = model.parent_map()
-        if state.unshared or not shares_a_key(
-            model, (eid for eid in model.entity_ids() if not parents.get(eid))
+        if (
+            state.unshared
+            or not model.duplication_count
+            or not shares_a_key(
+                model, (eid for eid in model.entity_ids() if not parents.get(eid))
+            )
         ):
             state.unshared = True
             return False  # a candidate with one owner fires nothing
@@ -217,7 +240,7 @@ def restructure(
         raise RuleError("min_subclasses must be >= 1")
     before = snapshot(model)
     applications: list[RuleApplication] = []
-    state = _CoreState(model)
+    state = _CoreState(model, options.min_subclasses)
     iterations = 0
     while True:
         r12 = pass_rules_1_2(model, options, applications, state)

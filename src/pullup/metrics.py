@@ -1,14 +1,13 @@
 """Model measurements: sizes, duplication, hierarchy shape, and the
 before/after comparisons used to judge a restructuring run.
 
-All functions are pure and leave the model untouched.
+All functions leave the model untouched. Duplication reads the model's own
+count of owners per key, which the first such reading builds.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 from .errors import ModelError
@@ -29,23 +28,14 @@ def declaration_count(model: ClassModel) -> int:
     return model.declared_property_count
 
 
-def key_owner_counts(model: ClassModel) -> Counter[PropKey]:
-    """How many entities declare each distinct property key.
-
-    An entity declares a key at most once, so counting every declaration
-    counts the owners.
-    """
-    return Counter(chain.from_iterable(e.properties for e in model.entities()))
-
-
 def duplicated_keys(model: ClassModel) -> set[PropKey]:
     """Keys declared by at least two entities."""
-    return {k for k, n in key_owner_counts(model).items() if n > 1}
+    return model.duplicated_keys()
 
 
 def duplication_count(model: ClassModel) -> int:
     """Sum over keys of (declaring entities - 1), floored at zero."""
-    return sum(n - 1 for n in key_owner_counts(model).values() if n > 1)
+    return model.duplication_count
 
 
 def max_inheritance_depth(model: ClassModel) -> int:

@@ -10,11 +10,12 @@ model from a document's tokens for the loader.
 
 from __future__ import annotations
 
-import copy
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from types import MappingProxyType
 from typing import AbstractSet, Iterator, Mapping, NamedTuple, Optional
 
@@ -90,6 +91,9 @@ class ClassModel:
         self._next_id = 1
         self._newclass_cursor = 1
         self._decl_count = 0
+        # Owners per declared key, built on first use, then kept by
+        # add_property and delete_property; a key with no owner is absent.
+        self._owner_count: Optional[Counter[PropKey]] = None
 
     # -- types ------------------------------------------------------------
 
@@ -163,6 +167,27 @@ class ClassModel:
         """Running total of property declarations (kept incrementally)."""
         return self._decl_count
 
+    def _count_owners(self) -> Counter[PropKey]:
+        # An entity declares a key at most once, so counting every
+        # declaration counts the owners.
+        return Counter(
+            chain.from_iterable(e.properties for e in self._entities.values())
+        )
+
+    @property
+    def duplication_count(self) -> int:
+        """Sum over keys of (declaring entities - 1): declarations less
+        distinct keys."""
+        if self._owner_count is None:
+            self._owner_count = self._count_owners()
+        return self._decl_count - len(self._owner_count)
+
+    def duplicated_keys(self) -> set[PropKey]:
+        """Keys declared by at least two entities."""
+        if not self.duplication_count:
+            return set()
+        return {k for k, n in self._owner_count.items() if n > 1}
+
     def add_property(self, eid: int, key: PropKey) -> None:
         e = self.entity(eid)
         _check_name(key.prop_name, "property")
@@ -178,6 +203,9 @@ class ClassModel:
                 )
         e.properties.append(key)
         self._decl_count += 1
+        owners = self._owner_count
+        if owners is not None:
+            owners[key] = owners.get(key, 0) + 1
 
     def delete_property(self, eid: int, prop_name: str) -> None:
         e = self.entity(eid)
@@ -185,6 +213,13 @@ class ClassModel:
             if p.prop_name == prop_name:
                 del e.properties[i]
                 self._decl_count -= 1
+                owners = self._owner_count
+                if owners is not None:
+                    n = owners[p] - 1
+                    if n:
+                        owners[p] = n
+                    else:
+                        del owners[p]
                 return
         raise PropertyNotFoundError(
             f"entity {e.name} declares no property {prop_name}"
@@ -300,6 +335,16 @@ class ClassModel:
                 f"declaration counter reads {self._decl_count}, "
                 f"entities declare {declared}"
             )
+        owners = self._owner_count
+        if owners is not None:
+            counted = self._count_owners()
+            for key in sorted(k for k in owners.keys() | counted.keys()
+                              if owners.get(k) != counted.get(k)):
+                violations.append(
+                    f"owner count of {key[0]}:{key[1]} reads "
+                    f"{owners.get(key, 'nothing')}, "
+                    f"{counted.get(key, 0)} entities declare it"
+                )
         for sub, sup in sorted(self._edges):
             if sub not in self._entities or sup not in self._entities:
                 violations.append(f"generalization references unknown entity ({sub} -> {sup})")
@@ -333,7 +378,21 @@ class ClassModel:
     # -- value semantics --------------------------------------------------
 
     def clone(self) -> "ClassModel":
-        return copy.deepcopy(self)
+        """An independent copy. Its owner count is built again when asked."""
+        new = ClassModel()
+        new._types = set(self._types)
+        new._entities = {
+            eid: Entity(eid, e.name, list(e.properties), e.origin)
+            for eid, e in self._entities.items()
+        }
+        new._by_name = dict(self._by_name)
+        new._edges = set(self._edges)
+        new._parents = {eid: set(sups) for eid, sups in self._parents.items()}
+        new._children = {eid: set(subs) for eid, subs in self._children.items()}
+        new._next_id = self._next_id
+        new._newclass_cursor = self._newclass_cursor
+        new._decl_count = self._decl_count
+        return new
 
     def _structure(self):
         return (
@@ -422,6 +481,8 @@ class ModelBuilder:
         a cycle with the ones before it.
         """
         model = self.model
+        # Declarations were appended directly; the owner count stays unbuilt
+        # until something asks for it.
         model._decl_count = sum(len(e.properties) for e in model._entities.values())
         by_name, edges = model._by_name, model._edges
         parents, children = model._parents, model._children

@@ -29,9 +29,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Optional, Sequence
 
-from .analysis import Candidate, common_props, shares_a_key, top_candidate
+from .analysis import (
+    Candidate,
+    common_props,
+    shares_a_key,
+    sharing_classes,
+    top_candidate,
+)
 from .errors import RuleError
-from .metrics import duplicated_keys
 from .model import ClassModel, Origin, PropKey
 
 
@@ -200,10 +205,8 @@ def exploit_multiple_inheritance(
     ``on_apply``, when given, is called with each application right after it
     mutated the model.
     """
-    shared = duplicated_keys(model)
-    sharing = [e.id for e in model.entities() if not shared.isdisjoint(e.properties)]
     applications: list[RuleApplication] = []
-    for candidate in common_props(model, sharing):
+    for candidate in common_props(model, sharing_classes(model)):
         if len(candidate.owners) <= 1:
             break
         keys = set(candidate.keys)

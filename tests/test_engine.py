@@ -11,10 +11,10 @@ from pullup.errors import IterationLimitExceeded, RuleError
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import duplicated_keys, duplication_count, hierarchy_restriction_equal
 from pullup.model import Origin, PropKey
-from pullup.modelfile import save_model
+from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleApplication, RuleKind
 
-from conftest import build_model, left_example, names, right_example
+from conftest import FIXTURES, build_model, left_example, names, right_example
 from reference_engine import reference_restructure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,9 +188,9 @@ def test_clean_superclasses_are_not_ranked_again(monkeypatch):
         return real(model, super_id, *args)
 
     monkeypatch.setattr(engine, "apply_shared_superclass_rule", spy)
-    state = engine._CoreState(m)
+    state = engine._CoreState(m, 2)
     assert pass_rules_1_2(m, EngineOptions(), None, state) is True  # rule 1 on R
-    assert ranked == ["S", "R"]
+    assert ranked == ["R"]  # S's subclasses share no key
     ranked.clear()
     assert pass_rules_1_2(m, EngineOptions(), None, state) is False
     assert ranked == ["R"]  # R's declarations changed, S's inputs did not
@@ -249,6 +249,50 @@ def test_rule_3_looks_again_after_a_top_level_class_changes(monkeypatch):
         RuleKind.RULE1, RuleKind.RULE1, RuleKind.RULE3
     ]
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("fixture", ["left.model", "right.model"])
+@pytest.mark.parametrize("multi", [False, True])
+def test_a_restructured_model_is_rechecked_without_ranking(monkeypatch, fixture, multi):
+    done = load_model((FIXTURES / fixture).read_bytes())
+    restructure(done, EngineOptions(multi_inheritance=True))
+    model = load_model(save_model(done))
+    ranked = []
+    real = engine.apply_shared_superclass_rule
+
+    def spy(*args):
+        ranked.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "apply_shared_superclass_rule", spy)
+    built = _count_index_builds(monkeypatch)
+    report = restructure(model, EngineOptions(multi_inheritance=multi))
+    assert (report.applications, report.iterations) == ([], 1)
+    assert ranked == [] and built == []
+    assert save_model(model) == save_model(done)
+
+
+def test_first_sweep_starts_from_every_parent_of_a_sharing_class():
+    # A and B share a only below P, their last parent; Q1 and Q2 come first.
+    m = build_model(
+        {"Q1": [], "Q2": [], "P": [], "A": ["a"], "B": ["a"]},
+        edges=[("A", "Q1"), ("A", "P"), ("B", "Q2"), ("B", "P")],
+    )
+    report = _assert_like_reference(m, EngineOptions())
+    assert [(a.rule, names(m, [a.target])) for a in report.applications] == [
+        (RuleKind.RULE1, ["P"])
+    ]
+
+
+def test_rule_1_hoists_from_an_only_child_without_duplication():
+    m = build_model({"P": [], "C": ["a"]}, edges=[("C", "P")])
+    assert duplication_count(m) == 0
+    report = _assert_like_reference(m, EngineOptions(min_subclasses=1))
+    assert [a.rule for a in report.applications] == [RuleKind.RULE1]
+    out = m.clone()
+    restructure(out, EngineOptions(min_subclasses=1))
+    assert out.entity(out.entity_id("P")).properties == [PropKey("a", "T")]
+    assert out.entity(out.entity_id("C")).properties == []
 
 
 def test_termination_guard_raises_rule_error(monkeypatch, left_model):

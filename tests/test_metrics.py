@@ -1,21 +1,24 @@
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pullup import engine
 from pullup.engine import EngineOptions, restructure
 from pullup.errors import ModelError
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import (
     declaration_count,
+    duplicated_keys,
     duplication_count,
     effectiveness,
     hierarchy_restriction_equal,
     max_inheritance_depth,
     snapshot,
 )
-from pullup.model import ClassModel
+from pullup.model import ClassModel, PropKey
 from pullup.modelfile import load_model
 
 from conftest import build_model
@@ -169,6 +172,70 @@ def test_snapshot_matches_naive_count_on_awkward_shapes(model, options):
     # nothing and reuses its first snapshot.
     if not again.applications:
         assert again.metrics_after == again.metrics_before == report.metrics_after
+
+
+def _recount(model):
+    """(duplication count, duplicated keys) counted from the declarations."""
+    owners = Counter(k for e in model.entities() for k in set(e.properties))
+    return sum(n - 1 for n in owners.values()), {k for k, n in owners.items() if n > 1}
+
+
+def _assert_counts(model):
+    assert (duplication_count(model), duplicated_keys(model)) == _recount(model)
+    assert model.validate() == []
+
+
+# (add?, entity index, property name, type name)
+_EDITS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 8), st.sampled_from("abcde"),
+              st.sampled_from("TU")),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    model=shapes(),
+    edits=_EDITS,
+    unbuilt=st.integers(0, 12),
+    options=st.sampled_from(
+        [EngineOptions(multi_inheritance=multi, min_subclasses=k)
+         for multi in (False, True) for k in (1, 2)]
+    ),
+)
+def test_owner_count_matches_a_recount(model, edits, unbuilt, options):
+    ids = model.entity_ids()
+
+    def edit(add, index, name, type_name):
+        eid = ids[index % len(ids)]
+        try:
+            if add:
+                model.add_property(eid, PropKey(name, type_name))
+            else:
+                model.delete_property(eid, name)
+        except ModelError:
+            pass  # a refused edit leaves the model and its count as they were
+
+    for args in edits[:unbuilt]:
+        edit(*args)
+    assert model._owner_count is None
+    _assert_counts(model)  # the first reading builds the count
+    for args in edits[unbuilt:]:
+        edit(*args)
+        _assert_counts(model)
+
+    real = engine._record
+
+    def checked(*args):
+        fired = real(*args)
+        if fired:
+            _assert_counts(model)
+        return fired
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_record", checked)
+        restructure(model, options)
+    _assert_counts(model)
 
 
 def test_snapshot_counts_a_deep_chain_a_diamond_and_a_deleted_edge():

@@ -10,6 +10,7 @@ from pullup.errors import (
     UnknownTypeError,
 )
 from pullup.model import ClassModel, Origin, PropKey
+from pullup.modelfile import save_model
 
 from conftest import build_model, names
 
@@ -197,6 +198,46 @@ def test_validate_reports_a_wrong_declaration_counter():
     assert m.validate() == []
     m._decl_count += 1
     assert m.validate() == ["declaration counter reads 4, entities declare 3"]
+
+
+def test_validate_reports_a_wrong_owner_count():
+    m = build_model({"A": ["a", "b"], "B": ["a"]})
+    assert m._owner_count is None  # built on first use only
+    assert m.validate() == []
+    assert m.duplication_count == 1
+    assert m.validate() == []
+    m._owner_count[PropKey("a", "T")] = 3
+    m._owner_count[PropKey("c", "T")] = 0  # a key with no owner must be absent
+    del m._owner_count[PropKey("b", "T")]
+    assert m.validate() == [
+        "owner count of a:T reads 3, 2 entities declare it",
+        "owner count of b:T reads nothing, 1 entities declare it",
+        "owner count of c:T reads 0, 0 entities declare it",
+    ]
+
+
+def test_clone_is_equal_and_independent():
+    m = build_model(
+        {"A": ["a", "b"], "B": ["a"], "C": []}, edges=[("B", "A")], types=("T", "U")
+    )
+    m.create_entity()
+    assert m.duplication_count == 1  # builds the original's count
+    saved = save_model(m)
+    copy = m.clone()
+    assert copy == m and save_model(copy) == saved
+    assert copy._owner_count is None
+    a, b, c = (copy.entity_id(n) for n in "ABC")
+    copy.add_property(c, PropKey("a", "T"))
+    copy.delete_property(a, "b")
+    copy.add_generalization(c, a)
+    copy.delete_generalization(b, a)
+    copy.add_type("V")
+    assert copy.entity(copy.create_entity()).name == "NewClass2"
+    assert save_model(m) == saved and m != copy
+    assert m.duplication_count == 1 and m.validate() == []
+    assert m.direct_subclasses(m.entity_id("A")) == {m.entity_id("B")}
+    assert m.entity(m.create_entity()).name == "NewClass2"
+    assert copy.duplication_count == 2 and copy.validate() == []
 
 
 def test_names_must_be_tokens():
