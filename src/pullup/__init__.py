@@ -8,7 +8,6 @@ from .errors import ModelError
 from .generate import Family, GeneratorSpec, element_count, generate_model
 from .metrics import (
     MetricsSnapshot,
-    duplication_count,
     effectiveness,
     hierarchy_restriction_equal,
     snapshot,
@@ -21,7 +20,6 @@ from .rules import (
     apply_candidate,
     apply_shared_superclass_rule,
     exploit_multiple_inheritance,
-    pull_up_props,
 )
 
 __version__ = "0.1.0"
@@ -43,14 +41,12 @@ __all__ = [
     "apply_candidate",
     "apply_shared_superclass_rule",
     "common_props",
-    "duplication_count",
     "effectiveness",
     "element_count",
     "exploit_multiple_inheritance",
     "generate_model",
     "hierarchy_restriction_equal",
     "load_model",
-    "pull_up_props",
     "restructure",
     "save_model",
     "snapshot",

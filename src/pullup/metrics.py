@@ -1,8 +1,9 @@
 """Model measurements: sizes, duplication, hierarchy shape, and the
 before/after comparisons used to judge a restructuring run.
 
-All functions leave the model untouched. Duplication reads the model's own
-count of owners per key, which the first such reading builds.
+All functions leave the model untouched. The counts are the model's own:
+``ClassModel.declared_property_count``, ``duplication_count`` and
+``duplicated_keys()``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ModelError
-from .model import ClassModel, Origin, PropKey
+from .model import ClassModel, Origin
 
 
 @dataclass(frozen=True)
@@ -21,21 +22,6 @@ class MetricsSnapshot:
     duplication_count: int
     top_level_count: int
     max_inheritance_depth: int
-
-
-def declaration_count(model: ClassModel) -> int:
-    """Total number of property declarations over all entities."""
-    return model.declared_property_count
-
-
-def duplicated_keys(model: ClassModel) -> set[PropKey]:
-    """Keys declared by at least two entities."""
-    return model.duplicated_keys()
-
-
-def duplication_count(model: ClassModel) -> int:
-    """Sum over keys of (declaring entities - 1), floored at zero."""
-    return model.duplication_count
 
 
 def max_inheritance_depth(model: ClassModel) -> int:
@@ -65,8 +51,8 @@ def top_level_count(model: ClassModel) -> int:
 def snapshot(model: ClassModel) -> MetricsSnapshot:
     return MetricsSnapshot(
         entity_count=len(model),
-        declaration_count=declaration_count(model),
-        duplication_count=duplication_count(model),
+        declaration_count=model.declared_property_count,
+        duplication_count=model.duplication_count,
         top_level_count=top_level_count(model),
         max_inheritance_depth=max_inheritance_depth(model),
     )

@@ -18,6 +18,13 @@ remaining declared duplication by giving entities additional parents, reusing
 a synthesized top-level class that declares exactly the shared keys where
 one exists.
 
+Every firing, of any rule, is one call of the private primitive ``_hoist``:
+create the target class unless one is given (below the old superclass for
+rule 2), move the keys onto it, and attach the sources to it. Rule 1 hands
+it the existing superclass, rules 2 and 3 and the new-class branch of the
+multiple-inheritance pass let it create one, and the reuse branch hands it
+the reused class. Only ``_hoist`` changes the model here.
+
 Every application is atomic: preconditions are checked before the first
 mutation, so a raised :class:`~pullup.errors.RuleError` leaves the model
 unchanged.
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .analysis import (
     Candidate,
@@ -59,54 +66,50 @@ class RuleApplication:
     created: Optional[int] = None
 
 
-def pull_up_props(
+def _hoist(
     model: ClassModel,
-    keys: Iterable[PropKey],
+    keys: Sequence[PropKey],
     sources: Iterable[int],
-    target: int,
-) -> None:
-    """Move ``keys`` from every source entity onto ``target``.
+    target: Optional[int] = None,
+    below: Optional[int] = None,
+) -> int:
+    """Move ``keys`` from every source onto ``target`` and make each source a
+    direct subclass of it; return the target.
 
-    Preconditions: every source declares every key, the target declares none
-    of the key names, and the target is not itself a source.
+    Without a ``target`` a fresh class is created. The target gets the keys
+    it lacks; each source, in id order, loses the keys, leaves ``below``
+    when that is given and gains the edge to the target unless it has it
+    already. The target then takes the sources' place below ``below``. Every
+    source must declare every key, which is checked before the first
+    mutation.
     """
-    keys = list(keys)
-    source_ids = set(sources)
-    if target in source_ids:
-        raise RuleError(
-            f"pull-up target {model.entity(target).name} is among the sources"
-        )
-    target_names = model.entity(target).prop_names()
-    for key in keys:
-        if key.prop_name in target_names:
-            raise RuleError(
-                f"target {model.entity(target).name} already declares "
-                f"property {key.prop_name}"
-            )
-    _check_sources(model, keys, source_ids)
-    _move_keys(model, keys, source_ids, target)
-
-
-def _check_sources(
-    model: ClassModel, keys: Sequence[PropKey], sources: AbstractSet[int]
-) -> None:
+    sources = sorted(sources)
     for sid in sources:
-        own = model.entity(sid).prop_keys()
+        own = model.entity(sid).properties
         for key in keys:
             if key not in own:
                 raise RuleError(
                     f"source {model.entity(sid).name} does not declare "
                     f"({key.prop_name}, {key.type_name})"
                 )
-
-
-def _move_keys(
-    model: ClassModel, keys: Sequence[PropKey], sources: AbstractSet[int], target: int
-) -> None:
+    if target is None:
+        target = model.create_entity()
+    have = model.entity(target).prop_keys()
     for key in keys:
-        model.add_property(target, key)
-        for sid in sorted(sources):
+        if key not in have:
+            model.add_property(target, key)
+    for sid in sources:
+        for key in keys:
             model.delete_property(sid, key.prop_name)
+        if below is not None:
+            model.delete_generalization(sid, below)
+        if not model.has_generalization(sid, target):
+            model.add_generalization(sid, target)
+    if below is not None:
+        # Last, so that ``below``'s child set has shrunk before it grows: a
+        # set resized on the way up keeps the larger table.
+        model.add_generalization(target, below)
+    return target
 
 
 def apply_shared_superclass_rule(
@@ -168,22 +171,14 @@ def apply_candidate(
             and len(owners) >= min_subclasses
             and target.prop_names().isdisjoint([k.prop_name for k in keys])
         ):
-            pull_up_props(model, keys, owners, super_id)
+            _hoist(model, keys, owners, target=super_id)
             return RuleApplication(RuleKind.RULE1, keys, owners, super_id)
 
     if len(owners) <= 1:
         return None
-    _check_sources(model, keys, owners)  # before the first mutation
-    nc = model.create_entity()
-    _move_keys(model, keys, owners, nc)
-    for sid in sorted(owners):
-        if super_id is not None:
-            model.delete_generalization(sid, super_id)
-        model.add_generalization(sid, nc)
-    if super_id is not None:
-        model.add_generalization(nc, super_id)
-        return RuleApplication(RuleKind.RULE2, keys, owners, nc, created=nc)
-    return RuleApplication(RuleKind.RULE3, keys, owners, nc, created=nc)
+    nc = _hoist(model, keys, owners, below=super_id)
+    kind = RuleKind.RULE3 if super_id is None else RuleKind.RULE2
+    return RuleApplication(kind, keys, owners, nc, created=nc)
 
 
 def exploit_multiple_inheritance(
@@ -216,29 +211,24 @@ def exploit_multiple_inheritance(
         if len(owners) < 2:
             continue
 
-        reusable = [
-            oid
-            for oid in owners
-            if model.is_top_level(oid)
-            and model.entity(oid).origin is Origin.SYNTHESIZED
-            and model.entity(oid).prop_keys() == keys
-        ]
-        if reusable:
-            target = min(reusable, key=lambda oid: model.entity(oid).name)
-            sources = sorted(owners - {target})
-            kind, created = RuleKind.MULTI_INHERIT_REUSE, None
+        reused = min(
+            (
+                oid
+                for oid in owners
+                if model.is_top_level(oid)
+                and model.entity(oid).origin is Origin.SYNTHESIZED
+                and model.entity(oid).prop_keys() == keys
+            ),
+            key=lambda oid: model.entity(oid).name,
+            default=None,
+        )
+        sources = frozenset(owners - {reused})
+        target = _hoist(model, candidate.keys, sources, target=reused)
+        if reused is None:
+            kind, created = RuleKind.MULTI_INHERIT_NEW, target
         else:
-            target = created = model.create_entity()
-            sources = sorted(owners)
-            kind = RuleKind.MULTI_INHERIT_NEW
-            for key in candidate.keys:
-                model.add_property(target, key)
-        for oid in sources:
-            for key in candidate.keys:
-                model.delete_property(oid, key.prop_name)
-            if not model.has_generalization(oid, target):
-                model.add_generalization(oid, target)
-        app = RuleApplication(kind, candidate.keys, frozenset(sources), target, created)
+            kind, created = RuleKind.MULTI_INHERIT_REUSE, None
+        app = RuleApplication(kind, candidate.keys, sources, target, created)
         applications.append(app)
         if on_apply is not None:
             on_apply(app)

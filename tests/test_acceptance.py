@@ -12,11 +12,7 @@ import pytest
 from pullup.analysis import common_props
 from pullup.engine import EngineOptions, restructure
 from pullup.generate import Family, GeneratorSpec, element_count, generate_model
-from pullup.metrics import (
-    duplicated_keys,
-    duplication_count,
-    hierarchy_restriction_equal,
-)
+from pullup.metrics import hierarchy_restriction_equal
 from pullup.model import Origin, PropKey
 from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleKind
@@ -51,7 +47,7 @@ def test_criterion_1_left_example_reproduction():
     assert report.metrics_after.declaration_count == 6
     synthesized = [e for e in m.entities() if e.origin is Origin.SYNTHESIZED]
     assert len(synthesized) == 1
-    assert duplicated_keys(m) == {PropKey("a", "T"), PropKey("b", "T")}
+    assert m.duplicated_keys() == {PropKey("a", "T"), PropKey("b", "T")}
     assert elapsed < 1.0
     _passed("1 left-example reproduction")
 
@@ -65,7 +61,7 @@ def test_criterion_2_right_example_reproduction():
     assert report.metrics_after.declaration_count == 5
     synthesized = [e for e in m.entities() if e.origin is Origin.SYNTHESIZED]
     assert len(synthesized) == 1
-    assert duplicated_keys(m) == {PropKey("d", "T")}
+    assert m.duplicated_keys() == {PropKey("d", "T")}
     assert elapsed < 1.0
     _passed("2 right-example reproduction")
 
@@ -98,7 +94,7 @@ def test_criterion_5_effectiveness_200_models():
         m = generate_model(spec)
         assert 50 <= element_count(m) <= 5000, spec
         restructure(m, EngineOptions(multi_inheritance=True))
-        assert duplication_count(m) == 0, spec
+        assert m.duplication_count == 0, spec
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _passed("5 effectiveness on fixtures + 200 generated models")
@@ -150,7 +146,7 @@ def test_criterion_7_oracle_equivalence_tiny_models():
 
         multi = m.clone()
         restructure(multi, EngineOptions(multi_inheritance=True))
-        assert duplication_count(multi) == best, decl_tuples
+        assert multi.duplication_count == best, decl_tuples
 
         core = m.clone()
         report = restructure(core, EngineOptions())
@@ -187,7 +183,7 @@ def _scaling_run(family, scales):
         elapsed = time.perf_counter() - start
         counts.append(n)
         times.append(elapsed)
-        assert duplication_count(m) == 0
+        assert m.duplication_count == 0
     return _gate_ladder(counts, times)
 
 
@@ -258,8 +254,8 @@ def test_criterion_8_diamond_lattice_load_performance():
 def test_criterion_9_termination_guard():
     # The engine checks, per application, that the declaration count strictly
     # decreased whenever min_subclasses >= 2; the corpus below runs entirely
-    # under that check (it would raise RuleError otherwise).
-    assert __debug__, "run without -O so the engine assertions are active"
+    # under that check, an explicit RuleError that ``python -O`` keeps
+    # (test_engine.py::test_termination_guard_survives_optimize_flag).
     specs = _corpus_specs(204, scales=[2, 4, 7, 11, 14], seed_base=90_000)
     total_applications = 0
     for spec in specs:

@@ -9,7 +9,7 @@ from pullup import engine
 from pullup.engine import EngineOptions, pass_rule_3, pass_rules_1_2, restructure
 from pullup.errors import IterationLimitExceeded, RuleError
 from pullup.generate import Family, GeneratorSpec, generate_model
-from pullup.metrics import duplicated_keys, duplication_count, hierarchy_restriction_equal
+from pullup.metrics import hierarchy_restriction_equal
 from pullup.model import Origin, PropKey
 from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleApplication, RuleKind
@@ -69,7 +69,7 @@ def test_restructure_left_example(left_model):
     report = restructure(left_model, EngineOptions())
     assert report.metrics_after.declaration_count == 6
     assert report.new_class_count == 1
-    assert {k.prop_name for k in duplicated_keys(left_model)} == {"a", "b"}
+    assert {k.prop_name for k in left_model.duplicated_keys()} == {"a", "b"}
 
 
 def test_restructure_right_example(right_model):
@@ -77,7 +77,7 @@ def test_restructure_right_example(right_model):
     assert report.metrics_before.declaration_count == 7
     assert report.metrics_after.declaration_count == 5
     assert report.new_class_count == 1
-    assert duplicated_keys(right_model) == {PropKey("d", "T")}
+    assert right_model.duplicated_keys() == {PropKey("d", "T")}
 
 
 @pytest.mark.parametrize("make", [left_example, right_example])
@@ -85,7 +85,7 @@ def test_restructure_multi_inheritance_removes_all_duplication(make):
     m = make()
     report = restructure(m, EngineOptions(multi_inheritance=True))
     assert report.metrics_after.duplication_count == 0
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
     assert m.validate() == []
 
 
@@ -102,6 +102,25 @@ def test_restructure_idempotent_at_fixpoint(left_model):
     again = restructure(left_model, EngineOptions())
     assert again.applications == []
     assert again.iterations == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the multiple-inheritance pass adds an edge an inherited "
+    "redeclaration already implies, and a second run hoists again",
+)
+def test_multi_inheritance_min_1_idempotent_on_redeclared_key():
+    # E2 -> E1 -> E0, and E2 redeclares E1's a:T. The first run fires rule 1
+    # (a:T from E1 into E0), rule 1 (a:T b:T from E2 into E1), then
+    # multi-inherit-new a:T for E0 and E1, whose edge E1 -> NewClass1 is
+    # already implied through E0. A second run then hoists b:T from E1 into
+    # E0 by rule 1.
+    m = build_model(
+        {"E0": [], "E1": ["a"], "E2": ["a", "b"]}, edges=[("E2", "E1"), ("E1", "E0")]
+    )
+    options = EngineOptions(multi_inheritance=True, min_subclasses=1)
+    restructure(m, options)
+    assert restructure(m, options).applications == []
 
 
 def test_restructure_final_model_validates(left_model):
@@ -164,7 +183,7 @@ def test_restructure_rule1_name_conflict(super_type, min_subclasses, multi):
         assert m.flattened_props(eid) == original.flattened_props(eid)
     assert hierarchy_restriction_equal(original, m)
     if multi:
-        assert duplication_count(m) == 0
+        assert m.duplication_count == 0
     assert restructure(m, options).applications == []
 
 
@@ -286,7 +305,7 @@ def test_first_sweep_starts_from_every_parent_of_a_sharing_class():
 
 def test_rule_1_hoists_from_an_only_child_without_duplication():
     m = build_model({"P": [], "C": ["a"]}, edges=[("C", "P")])
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
     report = _assert_like_reference(m, EngineOptions(min_subclasses=1))
     assert [a.rule for a in report.applications] == [RuleKind.RULE1]
     out = m.clone()

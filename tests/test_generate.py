@@ -2,7 +2,6 @@ import pytest
 
 from pullup.engine import EngineOptions, restructure
 from pullup.generate import Family, GeneratorSpec, element_count, generate_model
-from pullup.metrics import duplication_count
 from pullup.modelfile import save_model
 from pullup.rules import RuleKind
 
@@ -30,7 +29,7 @@ def test_generated_models_validate(family):
 def test_flat_shared_scale_1_reaches_zero_duplication():
     m = generate_model(GeneratorSpec(Family.FLAT_SHARED, scale=1, seed=7))
     restructure(m, EngineOptions(multi_inheritance=True))
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
 
 
 def test_flat_family_exercises_rule3_and_extension():

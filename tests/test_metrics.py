@@ -10,9 +10,6 @@ from pullup.engine import EngineOptions, restructure
 from pullup.errors import ModelError
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import (
-    declaration_count,
-    duplicated_keys,
-    duplication_count,
     effectiveness,
     hierarchy_restriction_equal,
     max_inheritance_depth,
@@ -26,14 +23,14 @@ from shapes import shapes
 
 
 def test_declaration_count_fixture_models(left_model, right_model):
-    assert declaration_count(left_model) == 8
-    assert declaration_count(right_model) == 7
-    assert declaration_count(ClassModel()) == 0
+    assert left_model.declared_property_count == 8
+    assert right_model.declared_property_count == 7
+    assert ClassModel().declared_property_count == 0
 
 
 def test_declaration_count_matches_incremental_counter(left_model):
     restructure(left_model, EngineOptions(multi_inheritance=True))
-    assert declaration_count(left_model) == sum(
+    assert left_model.declared_property_count == sum(
         len(e.properties) for e in left_model.entities()
     )
 
@@ -45,18 +42,18 @@ def test_duplication_count_left_example(left_model):
         for k in e.prop_keys():
             tally[k] = tally.get(k, 0) + 1
     assert sum(n - 1 for n in tally.values() if n > 1) == 4
-    assert duplication_count(left_model) == 4
+    assert left_model.duplication_count == 4
 
 
 def test_duplication_count_after_core_right_example(right_model):
     restructure(right_model, EngineOptions())
-    assert duplication_count(right_model) == 1
+    assert right_model.duplication_count == 1
 
 
 def test_duplication_zero_after_extension(left_model, right_model):
     for m in (left_model, right_model):
         restructure(m, EngineOptions(multi_inheritance=True))
-        assert duplication_count(m) == 0
+        assert m.duplication_count == 0
 
 
 def test_effectiveness():
@@ -115,7 +112,6 @@ def test_hierarchy_restriction_mismatched_ids():
 def test_metrics_leave_model_untouched(left_model):
     before = left_model.clone()
     snapshot(left_model)
-    duplication_count(left_model)
     max_inheritance_depth(left_model)
     assert left_model == before
 
@@ -181,7 +177,7 @@ def _recount(model):
 
 
 def _assert_counts(model):
-    assert (duplication_count(model), duplicated_keys(model)) == _recount(model)
+    assert (model.duplication_count, model.duplicated_keys()) == _recount(model)
     assert model.validate() == []
 
 

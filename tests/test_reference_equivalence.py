@@ -24,7 +24,7 @@ from shapes import shapes
 OPTIONS = [
     EngineOptions(multi_inheritance=multi, min_subclasses=k)
     for multi in (False, True)
-    for k in (1, 2)
+    for k in (1, 2, 3)
 ]
 
 

@@ -1,15 +1,17 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from pullup import rules
 from pullup.analysis import Candidate
 from pullup.errors import RuleError
-from pullup.metrics import duplication_count
 from pullup.model import Origin, PropKey
 from pullup.rules import (
     RuleKind,
     apply_candidate,
     apply_shared_superclass_rule,
     exploit_multiple_inheritance,
-    pull_up_props,
 )
 
 from conftest import build_model, names
@@ -18,40 +20,24 @@ from conftest import build_model, names
 def test_pull_up_props_moves_keys():
     m = build_model({"S": [], "A": ["a"], "B": ["a"]}, edges=[("A", "S"), ("B", "S")])
     s, a, b = (m.entity_id(n) for n in "SAB")
-    pull_up_props(m, [PropKey("a", "T")], {a, b}, s)
+    apply_candidate(m, s, Candidate((PropKey("a", "T"),), frozenset({a, b})))
     assert m.entity(s).prop_names() == {"a"}
     assert m.entity(a).properties == [] and m.entity(b).properties == []
 
 
-def test_pull_up_props_declaration_delta():
-    m = build_model({"S": [], "A": ["a", "b"], "B": ["a", "b"], "C": ["a", "b"]})
+def test_apply_candidate_rule1_declaration_delta():
+    m = build_model(
+        {"S": [], "A": ["a", "b"], "B": ["a", "b"], "C": ["a", "b"]},
+        edges=[("A", "S"), ("B", "S"), ("C", "S")],
+    )
     before = m.declared_property_count
-    keys = [PropKey("a", "T"), PropKey("b", "T")]
-    sources = {m.entity_id(n) for n in "ABC"}
-    pull_up_props(m, keys, sources, m.entity_id("S"))
+    keys = (PropKey("a", "T"), PropKey("b", "T"))
+    sources = frozenset(m.entity_id(n) for n in "ABC")
+    app = apply_candidate(m, m.entity_id("S"), Candidate(keys, sources))
+    assert app.rule is RuleKind.RULE1
     delta = m.declared_property_count - before
     assert delta == len(keys) - len(keys) * len(sources)
     assert delta < 0
-
-
-def test_pull_up_props_target_conflict_leaves_model_unchanged():
-    m = build_model({"S": ["a:U"], "A": ["a"], "B": ["a"]}, types=("T", "U"))
-    before = m.clone()
-    with pytest.raises(RuleError):
-        pull_up_props(
-            m, [PropKey("a", "T")], {m.entity_id("A"), m.entity_id("B")}, m.entity_id("S")
-        )
-    assert m == before
-
-
-def test_pull_up_props_missing_source_key_is_atomic():
-    m = build_model({"S": [], "A": ["a"], "B": []})
-    before = m.clone()
-    with pytest.raises(RuleError):
-        pull_up_props(
-            m, [PropKey("a", "T")], {m.entity_id("A"), m.entity_id("B")}, m.entity_id("S")
-        )
-    assert m == before
 
 
 def test_rule1_pulls_into_existing_super():
@@ -64,6 +50,7 @@ def test_rule1_pulls_into_existing_super():
     assert app is not None and app.rule is RuleKind.RULE1
     assert app.target == s and app.created is None
     assert m.entity(s).prop_names() == {"a"}
+    assert all(m.entity(eid).properties == [] for eid in app.sources)
     assert m.generalizations() == edges_before
 
 
@@ -177,7 +164,7 @@ def test_extension_left_example_post_core(left_model):
     restructure(m, EngineOptions())
     apps = exploit_multiple_inheritance(m)
     assert [a.rule for a in apps] == [RuleKind.MULTI_INHERIT_NEW] * 2
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
     a = m.entity_id("A")
     assert names(m, m.direct_superclasses(a)) == ["NewClass2", "NewClass3"]
     assert m.entity(m.entity_id("NewClass2")).prop_names() == {"a"}
@@ -197,7 +184,7 @@ def test_extension_reuses_synthesized_top_level():
     assert app.target == nc and app.created is None
     assert names(m, app.sources) == ["A", "B"]
     assert names(m, m.direct_subclasses(nc)) == ["A", "B"]
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
     # only the pre-existing synthesized class remains, nothing new created
     assert sum(1 for e in m.entities() if e.origin is Origin.SYNTHESIZED) == 1
 
@@ -215,7 +202,7 @@ def test_extension_does_not_reuse_a_class_declaring_more_keys():
     assert [app.rule for app in apps] == [RuleKind.MULTI_INHERIT_NEW]
     assert names(m, apps[0].sources) == ["A", "NewClass1"]
     assert {eid: m.flattened_props(eid) for eid in (a, nc)} == flat_before
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
     assert m.validate() == []
 
 
@@ -237,7 +224,7 @@ def test_extension_handles_ancestor_descendant_duplicate():
     m = build_model({"P": ["a"], "C": ["a", "c"]}, edges=[("C", "P")])
     apps = exploit_multiple_inheritance(m)
     assert len(apps) == 1
-    assert duplication_count(m) == 0
+    assert m.duplication_count == 0
     assert m.validate() == []
 
 
@@ -291,11 +278,15 @@ def test_apply_candidate_single_owner_fires_nothing(left_model):
     assert m == before
 
 
-# B does not declare a; X is not a subclass of S.
-@pytest.mark.parametrize("super_name,owners", [(None, "AB"), ("S", "AB"), ("S", "AX")])
+# B does not declare a: rule 3 at the top level, rule 2 (AB) and rule 1 (ABY)
+# under S. X is not a subclass of S.
+@pytest.mark.parametrize(
+    "super_name,owners", [(None, "AB"), ("S", "AB"), ("S", "ABY"), ("S", "AX")]
+)
 def test_apply_candidate_rejects_bad_candidate_atomically(super_name, owners):
     m = build_model(
-        {"S": [], "A": ["a"], "B": ["b"], "X": ["a"]}, edges=[("A", "S"), ("B", "S")]
+        {"S": [], "A": ["a"], "B": ["b"], "Y": ["a"], "X": ["a"]},
+        edges=[("A", "S"), ("B", "S"), ("Y", "S")],
     )
     super_id = None if super_name is None else m.entity_id(super_name)
     cand = Candidate((PropKey("a", "T"),), frozenset(m.entity_id(n) for n in owners))
@@ -303,3 +294,21 @@ def test_apply_candidate_rejects_bad_candidate_atomically(super_name, owners):
     with pytest.raises(RuleError):
         apply_candidate(m, super_id, cand)
     assert m == before
+
+
+def test_only_the_primitive_changes_the_model():
+    # Every rule fires through rules._hoist; a second copy of the mutation
+    # steps would let the rules drift apart.
+    mutators = {
+        "add_property", "delete_property", "add_generalization",
+        "delete_generalization", "create_entity",
+    }
+    tree = ast.parse(Path(rules.__file__).read_text())
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr in mutators
+    }
+    assert callers == {"_hoist"}
