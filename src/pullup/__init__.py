@@ -2,7 +2,6 @@
 or newly created superclasses, with an optional multiple-inheritance pass
 that removes all remaining duplication."""
 
-from .analysis import Candidate, common_props
 from .engine import EngineOptions, RestructureReport, restructure
 from .errors import ModelError
 from .generate import Family, GeneratorSpec, element_count, generate_model
@@ -14,18 +13,11 @@ from .metrics import (
 )
 from .model import ClassModel, Entity, Origin, PropKey
 from .modelfile import load_model, save_model
-from .rules import (
-    RuleApplication,
-    RuleKind,
-    apply_candidate,
-    apply_shared_superclass_rule,
-    exploit_multiple_inheritance,
-)
+from .rules import RuleApplication, RuleKind
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate",
     "ClassModel",
     "EngineOptions",
     "Entity",
@@ -38,12 +30,8 @@ __all__ = [
     "RestructureReport",
     "RuleApplication",
     "RuleKind",
-    "apply_candidate",
-    "apply_shared_superclass_rule",
-    "common_props",
     "effectiveness",
     "element_count",
-    "exploit_multiple_inheritance",
     "generate_model",
     "hierarchy_restriction_equal",
     "load_model",

@@ -39,7 +39,7 @@ def element_count(model: ClassModel) -> int:
     return (
         len(model)
         + model.declared_property_count
-        + len(model.generalizations())
+        + sum(map(len, model.parent_map().values()))
     )
 
 

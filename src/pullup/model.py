@@ -1,7 +1,8 @@
 """In-memory class-model representation.
 
 A :class:`ClassModel` holds named types, an ordered list of entities (classes
-with declared properties), and a set of generalization edges forming a DAG.
+with declared properties), and generalization edges forming a DAG: each
+entity's direct superclasses in a parent map, mirrored by a child map.
 All mutations validate their preconditions and leave the model untouched on
 failure; :meth:`ClassModel.validate` re-checks every invariant from the data
 itself and reports violations as strings. :class:`ModelBuilder` fills a fresh
@@ -85,7 +86,8 @@ class ClassModel:
         self._types: set[str] = set()
         self._entities: dict[int, Entity] = {}  # in entity order, never removed
         self._by_name: dict[str, int] = {}
-        self._edges: set[tuple[int, int]] = set()  # (specific, general)
+        # The generalizations: direct superclasses per entity, and the
+        # mirror, direct subclasses per entity.
         self._parents: dict[int, set[int]] = {}
         self._children: dict[int, set[int]] = {}
         self._next_id = 1
@@ -102,9 +104,6 @@ class ClassModel:
         if name in self._types:
             raise DuplicateNameError(f"duplicate type name {name}")
         self._types.add(name)
-
-    def has_type(self, name: str) -> bool:
-        return name in self._types
 
     def type_names(self) -> list[str]:
         return sorted(self._types)
@@ -147,9 +146,6 @@ class ClassModel:
             return self._by_name[name]
         except KeyError:
             raise UnknownEntityError(f"unknown entity name {name}") from None
-
-    def has_entity(self, name: str) -> bool:
-        return name in self._by_name
 
     def entity_ids(self) -> list[int]:
         return list(self._entities)
@@ -231,7 +227,7 @@ class ClassModel:
         e_sub, e_sup = self.entity(sub), self.entity(sup)
         if sub == sup:
             raise GeneralizationError(f"self-generalization {e_sub.name}")
-        if (sub, sup) in self._edges:
+        if self.has_generalization(sub, sup):
             raise GeneralizationError(
                 f"duplicate generalization {e_sub.name} -> {e_sup.name}"
             )
@@ -239,32 +235,23 @@ class ClassModel:
             raise CycleError(
                 f"generalization {e_sub.name} -> {e_sup.name} would create a cycle"
             )
-        self._edges.add((sub, sup))
         self._parents.setdefault(sub, set()).add(sup)
         self._children.setdefault(sup, set()).add(sub)
 
     def delete_generalization(self, sub: int, sup: int) -> None:
-        if (sub, sup) not in self._edges:
+        if not self.has_generalization(sub, sup):
             raise GeneralizationError(
                 f"no generalization {self.entity(sub).name} -> {self.entity(sup).name}"
             )
-        self._edges.remove((sub, sup))
         self._parents[sub].discard(sup)
         self._children[sup].discard(sub)
 
     def has_generalization(self, sub: int, sup: int) -> bool:
-        return (sub, sup) in self._edges
+        return sup in self._parents.get(sub, ())
 
     def generalizations(self) -> set[tuple[int, int]]:
-        return set(self._edges)
-
-    def direct_subclasses(self, eid: int) -> set[int]:
-        self.entity(eid)
-        return set(self._children.get(eid, ()))
-
-    def direct_superclasses(self, eid: int) -> set[int]:
-        self.entity(eid)
-        return set(self._parents.get(eid, ()))
+        """Every (specific, general) edge, read off the parent map."""
+        return {(sub, sup) for sub, sups in self._parents.items() for sup in sups}
 
     def parent_map(self) -> Mapping[int, AbstractSet[int]]:
         """Read-only live view of every entity's direct superclasses by id.
@@ -345,11 +332,16 @@ class ClassModel:
                     f"{owners.get(key, 'nothing')}, "
                     f"{counted.get(key, 0)} entities declare it"
                 )
-        for sub, sup in sorted(self._edges):
+        edges = self.generalizations()
+        for sub, sup in sorted(edges):
             if sub not in self._entities or sup not in self._entities:
                 violations.append(f"generalization references unknown entity ({sub} -> {sup})")
             elif sub == sup:
                 violations.append(f"self-generalization {self._entities[sub].name}")
+        mirrored = {(sub, sup) for sup, subs in self._children.items() for sub in subs}
+        for sub, sup in sorted(edges ^ mirrored):
+            side = "parent" if (sub, sup) in edges else "child"
+            violations.append(f"generalization ({sub} -> {sup}) is only in the {side} map")
         cycle = self._cycle_members()
         if cycle:
             names = ", ".join(sorted(self._entities[i].name for i in cycle))
@@ -359,10 +351,12 @@ class ClassModel:
     def _cycle_members(self) -> set[int]:
         # Kahn's algorithm over the specific->general digraph; whatever
         # cannot be peeled off lies on or behind a directed cycle.
-        indeg = {eid: 0 for eid in self._entities}
-        for sub, sup in self._edges:
-            if sub in indeg and sup in indeg and sub != sup:
-                indeg[sup] += 1
+        indeg = dict.fromkeys(self._entities, 0)
+        for sub, sups in self._parents.items():
+            if sub in indeg:
+                for sup in sups:
+                    if sup in indeg and sup != sub:
+                        indeg[sup] += 1
         queue = [eid for eid, d in indeg.items() if d == 0]
         remaining = set(indeg)
         while queue:
@@ -386,7 +380,6 @@ class ClassModel:
             for eid, e in self._entities.items()
         }
         new._by_name = dict(self._by_name)
-        new._edges = set(self._edges)
         new._parents = {eid: set(sups) for eid, sups in self._parents.items()}
         new._children = {eid: set(subs) for eid, subs in self._children.items()}
         new._next_id = self._next_id
@@ -403,7 +396,7 @@ class ClassModel:
             ),
             frozenset(
                 (self._entities[sub].name, self._entities[sup].name)
-                for sub, sup in self._edges
+                for sub, sup in self.generalizations()
             ),
         )
 
@@ -413,9 +406,10 @@ class ClassModel:
         return self._structure() == other._structure()
 
     def __repr__(self) -> str:
+        edges = sum(map(len, self._parents.values()))
         return (
             f"<ClassModel {len(self._entities)} entities, "
-            f"{self._decl_count} properties, {len(self._edges)} generalizations>"
+            f"{self._decl_count} properties, {edges} generalizations>"
         )
 
 
@@ -484,23 +478,20 @@ class ModelBuilder:
         # Declarations were appended directly; the owner count stays unbuilt
         # until something asks for it.
         model._decl_count = sum(len(e.properties) for e in model._entities.values())
-        by_name, edges = model._by_name, model._edges
-        parents, children = model._parents, model._children
+        by_name, parents, children = model._by_name, model._parents, model._children
 
         def link(noted: list[tuple[int, str, int]]) -> int:
             """Make ``noted``'s edges the model's, up to the first unresolved,
             self or duplicate one; return how many there are."""
-            edges.clear()
             parents.clear()
             children.clear()
-            for sub, name, _ in noted:
+            for good, (sub, name, _) in enumerate(noted):
                 sup = by_name.get(name)
-                if sup is None or sup == sub or (sub, sup) in edges:
-                    break
-                edges.add((sub, sup))
+                if sup is None or sup == sub or sup in parents.get(sub, ()):
+                    return good
                 parents.setdefault(sub, set()).add(sup)
                 children.setdefault(sup, set()).add(sub)
-            return len(edges)
+            return len(noted)
 
         supers = self._supers
         good = link(supers)

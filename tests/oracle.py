@@ -133,7 +133,7 @@ def greedy_single_key_baseline(model: ClassModel) -> int:
     while True:
         candidates = []  # (-owners, key, super-name-or-'', super_id, owners)
         for sup in m.entity_ids():
-            subs = m.direct_subclasses(sup)
+            subs = m.child_map().get(sup, set())
             if len(subs) < 2:
                 continue
             sup_names = m.entity(sup).prop_names()
@@ -149,7 +149,7 @@ def greedy_single_key_baseline(model: ClassModel) -> int:
         if not candidates:
             break
         _, key, _, sup, owners = min(candidates)
-        if sup is not None and owners == m.direct_subclasses(sup):
+        if sup is not None and owners == m.child_map().get(sup, set()):
             m.add_property(sup, key)
             for eid in sorted(owners):
                 m.delete_property(eid, key.prop_name)

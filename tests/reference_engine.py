@@ -25,7 +25,7 @@ def reference_restructure(model, options=None):
     while True:
         applied = False
         for eid in model.entity_ids():
-            subs = model.direct_subclasses(eid)
+            subs = model.child_map().get(eid)
             if not subs:
                 continue
             app = apply_shared_superclass_rule(model, eid, subs, options.min_subclasses)

@@ -20,7 +20,8 @@ def shapes(draw):
             eid = model.create_entity()
         else:
             name = f"NewClass{draw(st.integers(1, 4))}" if kind == "newclass" else f"E{i}"
-            eid = model.add_entity(name if not model.has_entity(name) else f"E{i}")
+            taken = {e.name for e in model.entities()}
+            eid = model.add_entity(name if name not in taken else f"E{i}")
         props = draw(
             st.lists(
                 st.tuples(st.sampled_from("abcd"), st.sampled_from("TU")),

@@ -110,7 +110,7 @@ def test_criterion_6_property_suite():
         leaves = {
             e.id
             for e in original.entities()
-            if not original.direct_subclasses(e.id)
+            if not original.child_map().get(e.id)
         }
         for multi in (False, True):
             m = original.clone()

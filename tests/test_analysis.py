@@ -192,7 +192,7 @@ def test_sharing_index_follows_rule1_into_top_level_superclass():
     index = SharingIndex(m)
     assert names(m, index.top().owners) == ["Y", "Z"]
     s = m.entity_id("S")
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     index.update({app.target, *app.sources})
     # The top-level S now declares a, like X; {S, X} ties with {Y, Z} on size
     # and frequency and wins on names.
@@ -225,9 +225,7 @@ def test_top_candidate_is_first_of_ranking(model, data):
 @pytest.mark.parametrize("family", list(Family))
 def test_top_candidate_on_generated_models(family):
     m = generate_model(GeneratorSpec(family, 25, seed=6))
-    groups = [m.entity_ids()] + [
-        m.direct_subclasses(eid) for eid in m.entity_ids() if m.direct_subclasses(eid)
-    ]
+    groups = [m.entity_ids()] + [subs for subs in m.child_map().values() if subs]
     for classes in groups:
         assert top_candidate(m, classes) == common_props(m, classes)[0]
 

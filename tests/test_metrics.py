@@ -124,14 +124,14 @@ def naive_snapshot(model):
             owners[key] = owners.get(key, 0) + 1
 
     def depth(eid):
-        sups = model.direct_superclasses(eid)
+        sups = model.parent_map().get(eid, ())
         return 1 + max(depth(s) for s in sups) if sups else 0
 
     return (
         len(model.entity_ids()),
         sum(len(e.properties) for e in model.entities()),
         sum(n - 1 for n in owners.values()),
-        sum(1 for eid in model.entity_ids() if not model.direct_superclasses(eid)),
+        sum(1 for eid in model.entity_ids() if not model.parent_map().get(eid)),
         max((depth(eid) for eid in model.entity_ids()), default=0),
     )
 

@@ -22,7 +22,9 @@ def test_well_formed_model_validates(left_model):
 def test_self_generalization_reported():
     m = build_model({"A": ["a"]})
     a = m.entity_id("A")
-    m._edges.add((a, a))  # bypass the mutator guard on purpose
+    # bypass the mutator guard on purpose, keeping the maps mirrored
+    m._parents.setdefault(a, set()).add(a)
+    m._children.setdefault(a, set()).add(a)
     assert m.validate() == ["self-generalization A"]
 
 
@@ -30,7 +32,6 @@ def test_two_cycle_reported():
     m = build_model({"A": [], "B": []})
     a, b = m.entity_id("A"), m.entity_id("B")
     m.add_generalization(a, b)
-    m._edges.add((b, a))
     m._parents.setdefault(b, set()).add(a)
     m._children.setdefault(a, set()).add(b)
     violations = m.validate()
@@ -39,21 +40,56 @@ def test_two_cycle_reported():
     assert "A" in violations[0] and "B" in violations[0]
 
 
+def test_unknown_parent_map_entry_reported():
+    m = build_model({"A": [], "B": []}, edges=[("B", "A")])
+    b = m.entity_id("B")
+    # bypass the mutator guard on purpose, keeping the maps mirrored
+    m._parents[b].add(99)
+    m._children.setdefault(99, set()).add(b)
+    m._parents.setdefault(98, set()).add(b)
+    m._children[b] = {98}
+    assert m.validate() == [
+        f"generalization references unknown entity ({b} -> 99)",
+        f"generalization references unknown entity (98 -> {b})",
+    ]
+
+
+def test_child_map_that_does_not_mirror_the_parent_map_reported():
+    m = build_model({"A": [], "B": [], "C": []}, edges=[("B", "A"), ("C", "A")])
+    a, b, c = (m.entity_id(n) for n in "ABC")
+    m._children[a].discard(b)
+    m._children.setdefault(b, set()).add(c)
+    assert m.validate() == [
+        f"generalization ({b} -> {a}) is only in the parent map",
+        f"generalization ({c} -> {b}) is only in the child map",
+    ]
+    m._children[b].clear()
+    m._children[a].add(b)
+    assert m.validate() == []
+
+
 def test_direct_subclasses():
     m = build_model({"A": [], "B": [], "C": []}, edges=[("B", "A"), ("C", "A")])
-    assert names(m, m.direct_subclasses(m.entity_id("A"))) == ["B", "C"]
+    assert names(m, m.child_map()[m.entity_id("A")]) == ["B", "C"]
 
 
 def test_direct_subclasses_empty_and_not_transitive():
     m = build_model({"A": [], "B": [], "C": []}, edges=[("C", "B"), ("B", "A")])
-    assert names(m, m.direct_subclasses(m.entity_id("A"))) == ["B"]
-    assert m.direct_subclasses(m.entity_id("C")) == set()
+    assert names(m, m.child_map()[m.entity_id("A")]) == ["B"]
+    assert not m.child_map().get(m.entity_id("C"))
 
 
-def test_direct_subclasses_unknown_entity():
-    m = ClassModel()
+def test_unknown_entity_id_raises():
+    m = build_model({"A": []})
+    a = m.entity_id("A")
+    for query in (m.entity, m.is_top_level, m.ancestors, m.flattened_props):
+        with pytest.raises(UnknownEntityError):
+            query(99)
     with pytest.raises(UnknownEntityError):
-        m.direct_subclasses(99)
+        m.add_generalization(a, 99)
+    with pytest.raises(UnknownEntityError):
+        m.delete_generalization(99, a)
+    assert m.validate() == [] and m.generalizations() == set()
 
 
 def test_is_top_level():
@@ -82,7 +118,7 @@ def test_flattened_props_diamond():
             if cur in seen:
                 continue
             seen.add(cur)
-            todo.extend(m.direct_superclasses(cur))
+            todo.extend(m.parent_map().get(cur, ()))
         keys = set()
         for eid in seen:
             keys |= m.entity(eid).prop_keys()
@@ -146,7 +182,7 @@ def test_add_generalization_and_errors():
     m = build_model({"A": [], "B": []})
     a, b = m.entity_id("A"), m.entity_id("B")
     m.add_generalization(b, a)
-    assert m.direct_subclasses(a) == {b}
+    assert m.child_map()[a] == {b} and m.parent_map()[b] == {a}
     with pytest.raises(GeneralizationError):
         m.add_generalization(b, a)  # duplicate
     with pytest.raises(CycleError):
@@ -167,11 +203,13 @@ def test_delete_generalization():
 def test_add_delete_generalization_roundtrip():
     m = build_model({"A": [], "B": [], "C": []}, edges=[("B", "A")])
     snapshot = m.clone()
-    a, c = m.entity_id("A"), m.entity_id("C")
+    a, b, c = (m.entity_id(n) for n in "ABC")
     m.add_generalization(a, c)
+    assert m.generalizations() == {(b, a), (a, c)} and m.has_generalization(a, c)
+    assert "2 generalizations" in repr(m)
     m.delete_generalization(a, c)
-    assert m == snapshot
-    assert m.generalizations() == snapshot.generalizations()
+    assert m == snapshot and not m.has_generalization(a, c)
+    assert m.generalizations() == snapshot.generalizations() == {(b, a)}
 
 
 def test_top_level_consistent_with_edges():
@@ -235,7 +273,7 @@ def test_clone_is_equal_and_independent():
     assert copy.entity(copy.create_entity()).name == "NewClass2"
     assert save_model(m) == saved and m != copy
     assert m.duplication_count == 1 and m.validate() == []
-    assert m.direct_subclasses(m.entity_id("A")) == {m.entity_id("B")}
+    assert m.child_map()[m.entity_id("A")] == {m.entity_id("B")}
     assert m.entity(m.create_entity()).name == "NewClass2"
     assert copy.duplication_count == 2 and copy.validate() == []
 

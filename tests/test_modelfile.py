@@ -73,7 +73,7 @@ def test_forward_super_reference():
 def test_comments_and_blank_lines():
     doc = "# header comment\nclassmodel v1\n\ntype T  # the only type\nentity A\n"
     m = load_model(doc)
-    assert m.has_type("T") and m.has_entity("A")
+    assert m.type_names() == ["T"] and [e.name for e in m.entities()] == ["A"]
 
 
 def test_round_trip_right_fixture():

@@ -46,7 +46,7 @@ def test_rule1_pulls_into_existing_super():
     )
     s = m.entity_id("S")
     edges_before = m.generalizations()
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     assert app is not None and app.rule is RuleKind.RULE1
     assert app.target == s and app.created is None
     assert m.entity(s).prop_names() == {"a"}
@@ -60,7 +60,7 @@ def test_rule1_pulls_only_the_shared_keys():
         edges=[("A", "S"), ("B", "S"), ("C", "S")],
     )
     s = m.entity_id("S")
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     assert app.rule is RuleKind.RULE1
     assert [k.prop_name for k in app.keys] == ["a"]
     assert m.entity(m.entity_id("A")).prop_names() == {"x"}
@@ -77,7 +77,7 @@ def test_rule3_left_example(left_model):
     nc = m.entity(app.created)
     assert nc.name == "NewClass1" and nc.origin is Origin.SYNTHESIZED
     assert nc.prop_names() == {"c"}
-    assert names(m, m.direct_subclasses(app.created)) == ["B", "C", "D"]
+    assert names(m, m.child_map()[app.created]) == ["B", "C", "D"]
 
 
 def test_rule2_inserts_intermediate_class():
@@ -86,14 +86,14 @@ def test_rule2_inserts_intermediate_class():
         edges=[("A", "S"), ("B", "S"), ("C", "S")],
     )
     s = m.entity_id("S")
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     assert app.rule is RuleKind.RULE2
     nc = app.created
     assert names(m, app.sources) == ["A", "B"]
     assert m.entity(nc).prop_names() == {"a"}
     # A and B were re-parented below the new class, C stayed put
-    assert names(m, m.direct_subclasses(s)) == ["C", "NewClass1"]
-    assert names(m, m.direct_subclasses(nc)) == ["A", "B"]
+    assert names(m, m.child_map()[s]) == ["C", "NewClass1"]
+    assert names(m, m.child_map()[nc]) == ["A", "B"]
 
 
 def test_rule2_keeps_unrelated_parents():
@@ -102,7 +102,7 @@ def test_rule2_keeps_unrelated_parents():
         edges=[("A", "S"), ("B", "S"), ("C", "S"), ("A", "X")],
     )
     s = m.entity_id("S")
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     assert app.rule is RuleKind.RULE2
     a = m.entity_id("A")
     assert m.has_generalization(a, m.entity_id("X"))
@@ -113,7 +113,7 @@ def test_no_application_without_sharing():
     m = build_model({"S": [], "A": ["a"], "B": ["b"]}, edges=[("A", "S"), ("B", "S")])
     s = m.entity_id("S")
     before = m.clone()
-    assert apply_shared_superclass_rule(m, s, m.direct_subclasses(s)) is None
+    assert apply_shared_superclass_rule(m, s, m.child_map()[s]) is None
     assert m == before
 
 
@@ -128,12 +128,12 @@ def test_rule1_min_subclasses_guard():
         return build_model({"S": ["s"], "A": ["a", "b"]}, edges=[("A", "S")])
 
     m = only_child()
-    assert apply_shared_superclass_rule(m, m.entity_id("S"), m.direct_subclasses(m.entity_id("S"))) is None
+    assert apply_shared_superclass_rule(m, m.entity_id("S"), m.child_map()[m.entity_id("S")]) is None
 
     # the literal behavior is restored with min_subclasses=1
     m = only_child()
     app = apply_shared_superclass_rule(
-        m, m.entity_id("S"), m.direct_subclasses(m.entity_id("S")), min_subclasses=1
+        m, m.entity_id("S"), m.child_map()[m.entity_id("S")], min_subclasses=1
     )
     assert app is not None and app.rule is RuleKind.RULE1
     assert m.entity(m.entity_id("S")).prop_names() == {"s", "a", "b"}
@@ -152,7 +152,7 @@ def test_rules_preserve_flattened_props_of_sources():
     )
     s = m.entity_id("S")
     flat_before = {eid: m.flattened_props(eid) for eid in m.entity_ids()}
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s))
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     for eid in app.sources:
         assert m.flattened_props(eid) == flat_before[eid]
 
@@ -166,7 +166,7 @@ def test_extension_left_example_post_core(left_model):
     assert [a.rule for a in apps] == [RuleKind.MULTI_INHERIT_NEW] * 2
     assert m.duplication_count == 0
     a = m.entity_id("A")
-    assert names(m, m.direct_superclasses(a)) == ["NewClass2", "NewClass3"]
+    assert names(m, m.parent_map()[a]) == ["NewClass2", "NewClass3"]
     assert m.entity(m.entity_id("NewClass2")).prop_names() == {"a"}
     assert m.entity(m.entity_id("NewClass3")).prop_names() == {"b"}
     assert m.validate() == []
@@ -183,7 +183,7 @@ def test_extension_reuses_synthesized_top_level():
     assert app.rule is RuleKind.MULTI_INHERIT_REUSE
     assert app.target == nc and app.created is None
     assert names(m, app.sources) == ["A", "B"]
-    assert names(m, m.direct_subclasses(nc)) == ["A", "B"]
+    assert names(m, m.child_map()[nc]) == ["A", "B"]
     assert m.duplication_count == 0
     # only the pre-existing synthesized class remains, nothing new created
     assert sum(1 for e in m.entities() if e.origin is Origin.SYNTHESIZED) == 1
@@ -240,24 +240,24 @@ def test_rule1_name_conflict_falls_through_to_rule2(super_type, min_subclasses):
     )
     s = m.entity_id("S")
     flat_before = {eid: m.flattened_props(eid) for eid in m.entity_ids()}
-    app = apply_shared_superclass_rule(m, s, m.direct_subclasses(s), min_subclasses)
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s], min_subclasses)
     assert app.rule is RuleKind.RULE2
     assert names(m, app.sources) == ["C1", "C2"]
     assert m.entity(s).prop_keys() == {PropKey("a", super_type)}
     assert m.entity(app.created).prop_keys() == {PropKey("a", "T")}
-    assert names(m, m.direct_subclasses(s)) == ["NewClass1"]
-    assert names(m, m.direct_subclasses(app.created)) == ["C1", "C2"]
+    assert names(m, m.child_map()[s]) == ["NewClass1"]
+    assert names(m, m.child_map()[app.created]) == ["C1", "C2"]
     for eid in app.sources:
         assert m.flattened_props(eid) == flat_before[eid]
     # S's only child now shares nothing S could take without the conflict.
-    assert apply_shared_superclass_rule(m, s, m.direct_subclasses(s), min_subclasses) is None
+    assert apply_shared_superclass_rule(m, s, m.child_map()[s], min_subclasses) is None
 
 
 def test_rule1_name_conflict_only_child_fires_nothing():
     m = build_model({"S": ["a"], "A": ["a", "b"]}, edges=[("A", "S")])
     s = m.entity_id("S")
     before = m.clone()
-    assert apply_shared_superclass_rule(m, s, m.direct_subclasses(s), 1) is None
+    assert apply_shared_superclass_rule(m, s, m.child_map()[s], 1) is None
     assert m == before
 
 
@@ -267,7 +267,7 @@ def test_apply_candidate_rule3_from_given_candidate(left_model):
     app = apply_candidate(m, None, Candidate((PropKey("c", "T"),), frozenset({b, c, d})))
     assert app.rule is RuleKind.RULE3
     assert m.entity(app.created).prop_names() == {"c"}
-    assert names(m, m.direct_subclasses(app.created)) == ["B", "C", "D"]
+    assert names(m, m.child_map()[app.created]) == ["B", "C", "D"]
 
 
 def test_apply_candidate_single_owner_fires_nothing(left_model):
