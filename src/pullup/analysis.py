@@ -46,7 +46,7 @@ def _groups(
     classes that declare each. A class listed twice counts once."""
     owners_by_key: dict[PropKey, list[int]] = {}
     for eid in classes:
-        for key in model.entity(eid).properties:  # distinct within an entity
+        for key in model.entity(eid).properties.values():  # distinct within an entity
             owners_by_key.setdefault(key, []).append(eid)
     keys_by_owners: dict[frozenset[int], list[PropKey]] = {}
     for key, owners in owners_by_key.items():
@@ -94,14 +94,14 @@ def sharing_classes(model: ClassModel) -> list[int]:
     shared = model.duplicated_keys()
     if not shared:
         return []
-    return [e.id for e in model.entities() if not shared.isdisjoint(e.properties)]
+    return [e.id for e in model.entities() if not shared.isdisjoint(e.properties.values())]
 
 
 def shares_a_key(model: ClassModel, classes: Iterable[int]) -> bool:
     """Whether two of ``classes``, distinct ids, declare the same key."""
     seen: set[PropKey] = set()
     for eid in classes:
-        keys = model.entity(eid).properties
+        keys = model.entity(eid).properties.values()
         if not seen.isdisjoint(keys):
             return True
         seen.update(keys)
@@ -123,7 +123,7 @@ class SharingIndex:
         self._model = model
         parents = model.parent_map()
         self._keys = {
-            e.id: set(e.properties) for e in model.entities() if not parents.get(e.id)
+            e.id: e.prop_keys() for e in model.entities() if not parents.get(e.id)
         }
         groups = _groups(model, self._keys)
         self._owners = {key: ids for ids, keys in groups.items() for key in keys}

@@ -59,19 +59,16 @@ class Origin(Enum):
 
 @dataclass
 class Entity:
-    """A class: a name, the keys it declares in declaration order, and an
-    origin marker."""
+    """A class: a name, the keys it declares filed by property name in
+    declaration order, and an origin marker."""
 
     id: int
     name: str
-    properties: list[PropKey] = field(default_factory=list)
+    properties: dict[str, PropKey] = field(default_factory=dict)
     origin: Origin = Origin.ORIGINAL
 
-    def prop_names(self) -> set[str]:
-        return {name for name, _ in self.properties}
-
     def prop_keys(self) -> set[PropKey]:
-        return set(self.properties)
+        return set(self.properties.values())
 
 
 class ClassModel:
@@ -119,7 +116,7 @@ class ClassModel:
     def _append_entity(self, name: str, origin: Origin) -> Entity:
         eid = self._next_id
         self._next_id += 1
-        e = self._entities[eid] = Entity(eid, name, [], origin)
+        e = self._entities[eid] = Entity(eid, name, {}, origin)
         self._by_name[name] = eid
         return e
 
@@ -167,7 +164,7 @@ class ClassModel:
         # An entity declares a key at most once, so counting every
         # declaration counts the owners.
         return Counter(
-            chain.from_iterable(e.properties for e in self._entities.values())
+            chain.from_iterable(e.properties.values() for e in self._entities.values())
         )
 
     @property
@@ -192,12 +189,11 @@ class ClassModel:
                 f"unknown type {key.type_name} for property {key.prop_name} "
                 f"in entity {e.name}"
             )
-        for p in e.properties:
-            if p.prop_name == key.prop_name:
-                raise DuplicateNameError(
-                    f"entity {e.name} already declares property {key.prop_name}"
-                )
-        e.properties.append(key)
+        if key.prop_name in e.properties:
+            raise DuplicateNameError(
+                f"entity {e.name} already declares property {key.prop_name}"
+            )
+        e.properties[key.prop_name] = key
         self._decl_count += 1
         owners = self._owner_count
         if owners is not None:
@@ -205,21 +201,19 @@ class ClassModel:
 
     def delete_property(self, eid: int, prop_name: str) -> None:
         e = self.entity(eid)
-        for i, p in enumerate(e.properties):
-            if p.prop_name == prop_name:
-                del e.properties[i]
-                self._decl_count -= 1
-                owners = self._owner_count
-                if owners is not None:
-                    n = owners[p] - 1
-                    if n:
-                        owners[p] = n
-                    else:
-                        del owners[p]
-                return
-        raise PropertyNotFoundError(
-            f"entity {e.name} declares no property {prop_name}"
-        )
+        key = e.properties.pop(prop_name, None)
+        if key is None:
+            raise PropertyNotFoundError(
+                f"entity {e.name} declares no property {prop_name}"
+            )
+        self._decl_count -= 1
+        owners = self._owner_count
+        if owners is not None:
+            n = owners[key] - 1
+            if n:
+                owners[key] = n
+            else:
+                del owners[key]
 
     # -- generalizations --------------------------------------------------
 
@@ -305,13 +299,12 @@ class ClassModel:
             if e.name in seen_names:
                 violations.append(f"duplicate entity name {e.name}")
             seen_names.add(e.name)
-            pnames: set[str] = set()
-            for p in e.properties:
-                if p.prop_name in pnames:
+            for name, p in e.properties.items():
+                if p.prop_name != name:
                     violations.append(
-                        f"duplicate property name {p.prop_name} in entity {e.name}"
+                        f"property {p.prop_name} filed under name {name} "
+                        f"in entity {e.name}"
                     )
-                pnames.add(p.prop_name)
                 if p.type_name not in self._types:
                     violations.append(
                         f"unknown type {p.type_name} in entity {e.name} "
@@ -376,7 +369,7 @@ class ClassModel:
         new = ClassModel()
         new._types = set(self._types)
         new._entities = {
-            eid: Entity(eid, e.name, list(e.properties), e.origin)
+            eid: Entity(eid, e.name, dict(e.properties), e.origin)
             for eid, e in self._entities.items()
         }
         new._by_name = dict(self._by_name)
@@ -391,7 +384,7 @@ class ClassModel:
         return (
             frozenset(self._types),
             tuple(
-                (e.name, e.origin, tuple(e.properties))
+                (e.name, e.origin, tuple(e.properties.values()))
                 for e in self.entities()
             ),
             frozenset(
@@ -434,7 +427,6 @@ class ModelBuilder:
     def __init__(self) -> None:
         self.model = ClassModel()
         self._current: Optional[Entity] = None
-        self._names: set[str] = set()  # the current entity's property names
         self._supers: list[tuple[int, str, int]] = []  # (sub id, super name, line)
 
     def add_type(self, name: str) -> None:
@@ -449,7 +441,6 @@ class ModelBuilder:
         model = self.model
         if name not in model._by_name:
             self._current = model._append_entity(name, origin)
-            self._names = set()
         else:
             model.add_entity(name, origin)  # raises DuplicateNameError
         return self._current.id
@@ -457,9 +448,9 @@ class ModelBuilder:
     def add_property(self, name: str, type_name: str) -> None:
         """Declare a property of the entity added last."""
         key = _new_tuple(PropKey, (name, type_name))
-        if type_name in self.model._types and name not in self._names:
-            self._names.add(name)
-            self._current.properties.append(key)
+        props = self._current.properties
+        if type_name in self.model._types and name not in props:
+            props[name] = key
         else:  # raises UnknownTypeError or DuplicateNameError
             self.model.add_property(self._current.id, key)
 

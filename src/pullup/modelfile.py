@@ -38,7 +38,7 @@ def save_model(model: ClassModel) -> bytes:
     for e in model.entities():
         marker = " synthesized" if e.origin is Origin.SYNTHESIZED else ""
         append(f"entity {e.name}{marker}")
-        for name, type_name in e.properties:
+        for name, type_name in e.properties.values():
             append(f"  prop {name} {type_name}")
         supers = parents.get(e.id)
         if supers:

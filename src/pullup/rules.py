@@ -87,16 +87,16 @@ def _hoist(
     for sid in sources:
         own = model.entity(sid).properties
         for key in keys:
-            if key not in own:
+            if own.get(key.prop_name) != key:
                 raise RuleError(
                     f"source {model.entity(sid).name} does not declare "
                     f"({key.prop_name}, {key.type_name})"
                 )
     if target is None:
         target = model.create_entity()
-    have = model.entity(target).prop_keys()
+    have = model.entity(target).properties
     for key in keys:
-        if key not in have:
+        if have.get(key.prop_name) != key:
             model.add_property(target, key)
     for sid in sources:
         for key in keys:
@@ -169,7 +169,7 @@ def apply_candidate(
         if (
             owners == subs
             and len(owners) >= min_subclasses
-            and target.prop_names().isdisjoint([k.prop_name for k in keys])
+            and target.properties.keys().isdisjoint(k.prop_name for k in keys)
         ):
             _hoist(model, keys, owners, target=super_id)
             return RuleApplication(RuleKind.RULE1, keys, owners, super_id)
@@ -204,9 +204,11 @@ def exploit_multiple_inheritance(
     for candidate in common_props(model, sharing_classes(model)):
         if len(candidate.owners) <= 1:
             break
-        keys = set(candidate.keys)
+        keys = candidate.keys
         owners = {
-            oid for oid in candidate.owners if model.entity(oid).prop_keys() >= keys
+            oid
+            for oid in candidate.owners
+            if all(model.entity(oid).properties.get(k.prop_name) == k for k in keys)
         }
         if len(owners) < 2:
             continue
@@ -217,18 +219,19 @@ def exploit_multiple_inheritance(
                 for oid in owners
                 if model.is_top_level(oid)
                 and model.entity(oid).origin is Origin.SYNTHESIZED
-                and model.entity(oid).prop_keys() == keys
+                # an owner declares every key, so only the count can differ
+                and len(model.entity(oid).properties) == len(keys)
             ),
             key=lambda oid: model.entity(oid).name,
             default=None,
         )
         sources = frozenset(owners - {reused})
-        target = _hoist(model, candidate.keys, sources, target=reused)
+        target = _hoist(model, keys, sources, target=reused)
         if reused is None:
             kind, created = RuleKind.MULTI_INHERIT_NEW, target
         else:
             kind, created = RuleKind.MULTI_INHERIT_REUSE, None
-        app = RuleApplication(kind, candidate.keys, sources, target, created)
+        app = RuleApplication(kind, keys, sources, target, created)
         applications.append(app)
         if on_apply is not None:
             on_apply(app)

@@ -136,7 +136,7 @@ def greedy_single_key_baseline(model: ClassModel) -> int:
             subs = m.child_map().get(sup, set())
             if len(subs) < 2:
                 continue
-            sup_names = m.entity(sup).prop_names()
+            sup_names = m.entity(sup).properties.keys()
             for key, owners in _shared_single_keys(m, subs).items():
                 if owners == subs and key.prop_name in sup_names:
                     continue  # cannot hoist into a class already using the name

@@ -123,7 +123,7 @@ def test_common_props_invariants(left_model, right_model):
             assert len(set(c.keys)) == len(c.keys)
             # every owner declares every key, re-checked independently
             declaring = {
-                e.id for e in m.entities() if all(k in e.properties for k in c.keys)
+                e.id for e in m.entities() if all(k in e.properties.values() for k in c.keys)
             }
             assert declaring == set(c.owners)
 
@@ -134,9 +134,9 @@ def test_common_props_collapse_loses_nothing(left_model):
     ranking = common_props(m, ids)
     from_ranking = {(k, c.owners) for c in ranking for k in c.keys}
     pes = {
-        (k, frozenset(o for o in ids if k in m.entity(o).properties))
+        (k, frozenset(o for o in ids if k in m.entity(o).properties.values()))
         for eid in ids
-        for k in m.entity(eid).properties
+        for k in m.entity(eid).properties.values()
     }
     assert from_ranking == pes
 

@@ -100,7 +100,7 @@ def test_min_subclasses_flag(tmp_path):
     assert main(["restructure", str(src), "-o", str(out), "--min-subclasses", "1"]) == 0
     result = load_model(out.read_bytes())
     s = result.entity(result.entity_id("S"))
-    assert s.prop_names() == {"a", "b"}
+    assert s.properties.keys() == {"a", "b"}
 
 
 def _run_module(*args, **env):

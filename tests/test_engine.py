@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_pass_rules_1_2_single_rule1_firing():
     m = build_model({"S": [], "A": ["a"], "B": ["a"]}, edges=[("A", "S"), ("B", "S")])
     assert pass_rules_1_2(m, EngineOptions()) is True
-    assert m.entity(m.entity_id("S")).prop_names() == {"a"}
+    assert m.entity(m.entity_id("S")).properties.keys() == {"a"}
 
 
 def test_pass_rules_1_2_no_generalizations():
@@ -39,9 +39,9 @@ def test_pass_rules_1_2_pulls_only_shared():
     apps = []
     assert pass_rules_1_2(m, EngineOptions(), apps) is True
     assert [a.rule for a in apps] == [RuleKind.RULE1]
-    assert m.entity(m.entity_id("S")).prop_names() == {"a"}
-    assert m.entity(m.entity_id("A")).prop_names() == {"x"}
-    assert m.entity(m.entity_id("B")).prop_names() == {"y"}
+    assert m.entity(m.entity_id("S")).properties.keys() == {"a"}
+    assert m.entity(m.entity_id("A")).properties.keys() == {"x"}
+    assert m.entity(m.entity_id("B")).properties.keys() == {"y"}
 
 
 def test_pass_rule_3_right_example(right_model):
@@ -310,8 +310,8 @@ def test_rule_1_hoists_from_an_only_child_without_duplication():
     assert [a.rule for a in report.applications] == [RuleKind.RULE1]
     out = m.clone()
     restructure(out, EngineOptions(min_subclasses=1))
-    assert out.entity(out.entity_id("P")).properties == [PropKey("a", "T")]
-    assert out.entity(out.entity_id("C")).properties == []
+    assert list(out.entity(out.entity_id("P")).properties.values()) == [PropKey("a", "T")]
+    assert out.entity(out.entity_id("C")).properties == {}
 
 
 def test_termination_guard_raises_rule_error(monkeypatch, left_model):

@@ -172,7 +172,7 @@ def test_snapshot_matches_naive_count_on_awkward_shapes(model, options):
 
 def _recount(model):
     """(duplication count, duplicated keys) counted from the declarations."""
-    owners = Counter(k for e in model.entities() for k in set(e.properties))
+    owners = Counter(k for e in model.entities() for k in set(e.properties.values()))
     return sum(n - 1 for n in owners.values()), {k for k, n in owners.items() if n > 1}
 
 

@@ -134,7 +134,7 @@ def test_add_property():
     m = build_model({"E": []})
     e = m.entity_id("E")
     m.add_property(e, PropKey("x", "T"))
-    assert [(p.prop_name, p.type_name) for p in m.entity(e).properties] == [("x", "T")]
+    assert [(p.prop_name, p.type_name) for p in m.entity(e).properties.values()] == [("x", "T")]
     with pytest.raises(DuplicateNameError):
         m.add_property(e, PropKey("x", "T"))
     with pytest.raises(UnknownTypeError):
@@ -145,7 +145,7 @@ def test_delete_property_keeps_order():
     m = build_model({"E": ["x", "y", "z"]})
     e = m.entity_id("E")
     m.delete_property(e, "y")
-    assert [p.prop_name for p in m.entity(e).properties] == ["x", "z"]
+    assert [p.prop_name for p in m.entity(e).properties.values()] == ["x", "z"]
     with pytest.raises(PropertyNotFoundError):
         m.delete_property(e, "missing")
 
@@ -166,7 +166,7 @@ def test_create_entity_names_and_origin():
     assert m.entity(e1).name == "NewClass1"
     assert m.entity(e2).name == "NewClass2"
     assert m.entity(e1).origin is Origin.SYNTHESIZED
-    assert m.entity(e1).properties == []
+    assert m.entity(e1).properties == {}
     assert m.is_top_level(e1)
 
 
@@ -236,6 +236,15 @@ def test_validate_reports_a_wrong_declaration_counter():
     assert m.validate() == []
     m._decl_count += 1
     assert m.validate() == ["declaration counter reads 4, entities declare 3"]
+
+
+def test_validate_reports_a_key_filed_under_another_name():
+    m = build_model({"E": ["a"]})
+    props = m.entity(m.entity_id("E")).properties
+    props["a"] = PropKey("b", "T")
+    assert m.validate() == ["property b filed under name a in entity E"]
+    props["a"] = PropKey("a", "U")
+    assert m.validate() == ["unknown type U in entity E property a"]
 
 
 def test_validate_reports_a_wrong_owner_count():

@@ -160,7 +160,7 @@ def _outcome(load, data):
     return (
         save_model(m),
         m.entity_ids(),
-        [e.properties for e in m.entities()],
+        [list(e.properties.items()) for e in m.entities()],
         m.declared_property_count,
         sorted(m.generalizations()),
     )

@@ -4,9 +4,9 @@ Both must save the same bytes, take the same number of passes and fire the
 same rules in the same order: on generated corpora of every family, and on
 hypothesis-built shapes the generators never produce (several parents,
 diamonds, deep chains, synthesized classes in the input, originals named
-``NewClass<k>``, superclasses declaring a name their subclasses share). On
-those shapes every leaf also keeps its flattened properties, with and
-without the multiple-inheritance pass.
+``NewClass<k>``, superclasses declaring a name their subclasses share), and
+on wide classes. On those shapes every leaf also keeps its flattened
+properties, with and without the multiple-inheritance pass.
 """
 
 import pytest
@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from pullup.engine import EngineOptions, restructure
 from pullup.generate import Family, GeneratorSpec, generate_model
+from pullup.metrics import hierarchy_restriction_equal
 from pullup.model import Origin
 from pullup.modelfile import save_model
 
+from large_shapes import fanout_model, wide_model
 from reference_engine import reference_restructure
 from shapes import shapes
 
@@ -58,3 +60,15 @@ def test_awkward_shapes_match_reference(model, options):
     assert sum(e.origin is Origin.ORIGINAL for e in out.entities()) == sum(
         e.origin is Origin.ORIGINAL for e in model.entities()
     )
+
+
+@pytest.mark.parametrize("build", [wide_model, fanout_model])
+@pytest.mark.parametrize("options", OPTIONS)
+def test_wide_classes_match_reference(build, options):
+    model = build(200, seed=3)
+    leaves = [e.id for e in model.entities() if not model.child_map().get(e.id)]
+    out = assert_same_run(model, options)
+    assert out.validate() == []
+    for eid in leaves:
+        assert out.flattened_props(eid) == model.flattened_props(eid)
+    assert hierarchy_restriction_equal(model, out)

@@ -6,7 +6,7 @@ import pytest
 from pullup import rules
 from pullup.analysis import Candidate
 from pullup.errors import RuleError
-from pullup.model import Origin, PropKey
+from pullup.model import ClassModel, Origin, PropKey
 from pullup.rules import (
     RuleKind,
     apply_candidate,
@@ -21,8 +21,8 @@ def test_pull_up_props_moves_keys():
     m = build_model({"S": [], "A": ["a"], "B": ["a"]}, edges=[("A", "S"), ("B", "S")])
     s, a, b = (m.entity_id(n) for n in "SAB")
     apply_candidate(m, s, Candidate((PropKey("a", "T"),), frozenset({a, b})))
-    assert m.entity(s).prop_names() == {"a"}
-    assert m.entity(a).properties == [] and m.entity(b).properties == []
+    assert m.entity(s).properties.keys() == {"a"}
+    assert m.entity(a).properties == {} and m.entity(b).properties == {}
 
 
 def test_apply_candidate_rule1_declaration_delta():
@@ -40,6 +40,33 @@ def test_apply_candidate_rule1_declaration_delta():
     assert delta < 0
 
 
+def test_a_firing_adds_and_deletes_one_key_at_a_time(monkeypatch):
+    # Per-key calls: what the bench's add/delete call counts measure.
+    k, n = 4, 3
+    shared = [f"k{i}" for i in range(k)]
+    m = build_model(
+        {"S": [], "A": shared, "B": shared, "C": shared, "D": ["x"]},
+        edges=[(sub, "S") for sub in "ABCD"],
+    )
+    calls = {"add_property": 0, "delete_property": 0}
+
+    def counting(name):
+        real = getattr(ClassModel, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(ClassModel, name, counting(name))
+    s = m.entity_id("S")
+    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
+    assert app.rule is RuleKind.RULE2 and len(app.keys) == k and len(app.sources) == n
+    assert calls == {"add_property": k, "delete_property": n * k}
+
+
 def test_rule1_pulls_into_existing_super():
     m = build_model(
         {"S": [], "A": ["a"], "B": ["a"]}, edges=[("A", "S"), ("B", "S")]
@@ -49,8 +76,8 @@ def test_rule1_pulls_into_existing_super():
     app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     assert app is not None and app.rule is RuleKind.RULE1
     assert app.target == s and app.created is None
-    assert m.entity(s).prop_names() == {"a"}
-    assert all(m.entity(eid).properties == [] for eid in app.sources)
+    assert m.entity(s).properties.keys() == {"a"}
+    assert all(m.entity(eid).properties == {} for eid in app.sources)
     assert m.generalizations() == edges_before
 
 
@@ -63,8 +90,8 @@ def test_rule1_pulls_only_the_shared_keys():
     app = apply_shared_superclass_rule(m, s, m.child_map()[s])
     assert app.rule is RuleKind.RULE1
     assert [k.prop_name for k in app.keys] == ["a"]
-    assert m.entity(m.entity_id("A")).prop_names() == {"x"}
-    assert m.entity(m.entity_id("B")).prop_names() == {"y"}
+    assert m.entity(m.entity_id("A")).properties.keys() == {"x"}
+    assert m.entity(m.entity_id("B")).properties.keys() == {"y"}
 
 
 def test_rule3_left_example(left_model):
@@ -76,7 +103,7 @@ def test_rule3_left_example(left_model):
     assert names(m, app.sources) == ["B", "C", "D"]
     nc = m.entity(app.created)
     assert nc.name == "NewClass1" and nc.origin is Origin.SYNTHESIZED
-    assert nc.prop_names() == {"c"}
+    assert nc.properties.keys() == {"c"}
     assert names(m, m.child_map()[app.created]) == ["B", "C", "D"]
 
 
@@ -90,7 +117,7 @@ def test_rule2_inserts_intermediate_class():
     assert app.rule is RuleKind.RULE2
     nc = app.created
     assert names(m, app.sources) == ["A", "B"]
-    assert m.entity(nc).prop_names() == {"a"}
+    assert m.entity(nc).properties.keys() == {"a"}
     # A and B were re-parented below the new class, C stayed put
     assert names(m, m.child_map()[s]) == ["C", "NewClass1"]
     assert names(m, m.child_map()[nc]) == ["A", "B"]
@@ -136,7 +163,7 @@ def test_rule1_min_subclasses_guard():
         m, m.entity_id("S"), m.child_map()[m.entity_id("S")], min_subclasses=1
     )
     assert app is not None and app.rule is RuleKind.RULE1
-    assert m.entity(m.entity_id("S")).prop_names() == {"s", "a", "b"}
+    assert m.entity(m.entity_id("S")).properties.keys() == {"s", "a", "b"}
 
 
 def test_classes_must_match_direct_subclasses():
@@ -167,8 +194,8 @@ def test_extension_left_example_post_core(left_model):
     assert m.duplication_count == 0
     a = m.entity_id("A")
     assert names(m, m.parent_map()[a]) == ["NewClass2", "NewClass3"]
-    assert m.entity(m.entity_id("NewClass2")).prop_names() == {"a"}
-    assert m.entity(m.entity_id("NewClass3")).prop_names() == {"b"}
+    assert m.entity(m.entity_id("NewClass2")).properties.keys() == {"a"}
+    assert m.entity(m.entity_id("NewClass3")).properties.keys() == {"b"}
     assert m.validate() == []
 
 
@@ -266,7 +293,7 @@ def test_apply_candidate_rule3_from_given_candidate(left_model):
     b, c, d = (m.entity_id(n) for n in "BCD")
     app = apply_candidate(m, None, Candidate((PropKey("c", "T"),), frozenset({b, c, d})))
     assert app.rule is RuleKind.RULE3
-    assert m.entity(app.created).prop_names() == {"c"}
+    assert m.entity(app.created).properties.keys() == {"c"}
     assert names(m, m.child_map()[app.created]) == ["B", "C", "D"]
 
 
