@@ -7,9 +7,9 @@ canonically by sorted owner names. All keys with the same owner set form one
 candidate, in sorted key order. ``top_candidate`` finds the first candidate
 without ranking the others.
 
-``SharingIndex`` keeps the same ranking over the top-level classes up to
-date as rules fire, so the fixpoint engine need not re-rank the whole
-top-level set after each firing.
+``SharingIndex`` keeps the same ranking over one class set, the direct
+subclasses of a parent or the top-level classes, up to date as rules fire,
+so the fixpoint engine need not re-rank a large set after each firing.
 """
 
 from __future__ import annotations
@@ -109,22 +109,25 @@ def shares_a_key(model: ClassModel, classes: Iterable[int]) -> bool:
 
 
 class SharingIndex:
-    """The top candidate of ``common_props`` over the top-level classes,
+    """The top candidate of ``common_props`` over the direct subclasses of
+    ``parent``, or over the top-level classes when ``parent`` is ``None``,
     kept up to date as the model changes.
 
-    It holds each key's top-level owners, the keys of every owner set of two
-    or more entities (only those can fire a rule), and a heap of those owner
-    sets by ``rank_key``. An update pushes a fresh entry for every owner set
-    whose key count changed; an entry whose count is no longer current is
-    stale and dropped when it reaches the top.
+    It holds each key's owners in the set, the keys of every owner set of
+    two or more entities (only those can fire a rule), and a heap of those
+    owner sets by ``rank_key``. An update pushes a fresh entry for every
+    owner set whose key count changed; an entry whose count is no longer
+    current is stale and dropped when it reaches the top.
     """
 
-    def __init__(self, model: ClassModel) -> None:
-        self._model = model
-        parents = model.parent_map()
-        self._keys = {
-            e.id: e.prop_keys() for e in model.entities() if not parents.get(e.id)
-        }
+    def __init__(self, model: ClassModel, parent: Optional[int] = None) -> None:
+        self._model, self._parent = model, parent
+        if parent is None:
+            parents = model.parent_map()
+            members = [eid for eid in model.entity_ids() if not parents.get(eid)]
+        else:
+            members = model.child_map().get(parent, ())
+        self._keys = {eid: model.entity(eid).prop_keys() for eid in members}
         groups = _groups(model, self._keys)
         self._owners = {key: ids for ids, keys in groups.items() for key in keys}
         self._groups = {ids: set(keys) for ids, keys in groups.items() if len(ids) > 1}
@@ -136,8 +139,8 @@ class SharingIndex:
         return rank_key(self._model, ids, freq), ids, freq
 
     def top(self) -> Optional[Candidate]:
-        """``common_props`` over the top-level classes, first entry, if it is
-        shared by two or more classes; otherwise ``None``."""
+        """``common_props`` over the set, first entry, if it is shared by two
+        or more classes; otherwise ``None``."""
         heap, groups = self._heap, self._groups
         while heap:
             _, ids, freq = heap[0]
@@ -148,13 +151,15 @@ class SharingIndex:
         return None
 
     def update(self, eids: Iterable[int]) -> None:
-        """Re-read the top-level status and the declarations of ``eids``."""
-        model = self._model
+        """Re-read whether each of ``eids`` is in the set, and its
+        declarations. A class without parents sits below ``None``."""
+        model, parents = self._model, self._model.parent_map()
         gone: dict[PropKey, set[int]] = {}
         came: dict[PropKey, set[int]] = {}
         for eid in eids:
             old = self._keys.pop(eid, set())
-            new = model.entity(eid).prop_keys() if model.is_top_level(eid) else set()
+            member = self._parent in (parents.get(eid) or (None,))
+            new = model.entity(eid).prop_keys() if member else set()
             if new:
                 self._keys[eid] = new
             for key in old - new:

@@ -122,10 +122,10 @@ def _cmd_restructure(args: argparse.Namespace) -> int:
         multi_inheritance=args.multi_inheritance,
         min_subclasses=args.min_subclasses,
         max_iterations=args.max_iterations,
-        trace=args.trace,
     )
     if args.trace:
-        logging.basicConfig(stream=sys.stderr, level=logging.INFO)
+        logging.basicConfig(stream=sys.stderr)
+        logging.getLogger("pullup.engine").setLevel(logging.DEBUG)
     start = time.perf_counter()
     report = restructure(model, options)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

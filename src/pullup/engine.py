@@ -19,13 +19,15 @@ exactly what re-ranking everything in every pass would:
   superclasses of the entities that declare a key some other entity also
   declares (read from the model's live owner count): none on a model
   without duplication.
-* Rule 3 reads its candidate from a :class:`~pullup.analysis.SharingIndex`
-  over the top-level classes instead of ranking all of them in every pass.
-  The index is built once two top-level classes share a key (until then an
-  attempt fires nothing; a model without duplication is not even scanned)
-  and then updated from the sources and the target of each firing.
+* Every attempt ranks one class set, a superclass's direct subclasses
+  (rules 1/2) or the top-level classes (rule 3, as if under a root ``None``),
+  and fires the top candidate. Child sets of ``INDEXED_CHILDREN`` or more
+  classes, and the top level once a key has two owners, are ranked from a
+  :class:`~pullup.analysis.SharingIndex` built at their first attempt and
+  updated from each firing; smaller sets, and a set with one member (only
+  ranking from scratch offers an only child's keys to rule 1), from scratch.
 
-The dirty marks and the index are dropped when the core fixpoint ends,
+The dirty marks and the indexes are dropped when the core fixpoint ends,
 before the multiple-inheritance pass. ``tests/reference_engine.py`` keeps the
 full re-ranking loop; the tests hold this engine to the same output bytes,
 pass count and firings.
@@ -38,18 +40,30 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Optional
 
-from .analysis import SharingIndex, shares_a_key, sharing_classes
+from .analysis import (
+    Candidate,
+    SharingIndex,
+    shares_a_key,
+    sharing_classes,
+    top_candidate,
+)
 from .errors import IterationLimitExceeded, RuleError
 from .metrics import MetricsSnapshot, snapshot
 from .model import ClassModel
 from .rules import (
     RuleApplication,
-    apply_candidate,
     apply_shared_superclass_rule,
     exploit_multiple_inheritance,
 )
 
 log = logging.getLogger(__name__)
+
+# The smallest class set ranked from a SharingIndex. Up to ~60 classes an
+# index costs what ranking from scratch at every attempt does: below a root
+# over a seed-8 `flat` model, where rule 2 fires once per ~3.5 children, 56
+# children took 1.9 ms indexed and 2.0 ms from scratch, 112 took 4.1 and
+# 7.0 ms (2-vCPU host). Indexing `star`'s 2-5-child sets made it ~40% slower.
+INDEXED_CHILDREN = 64
 
 
 @dataclass
@@ -57,7 +71,6 @@ class EngineOptions:
     multi_inheritance: bool = False
     min_subclasses: int = 2
     max_iterations: Optional[int] = None
-    trace: bool = False
 
 
 @dataclass
@@ -75,7 +88,8 @@ class RestructureReport:
 
 class _CoreState:
     """What the core passes remember between firings: the dirty entities
-    and the top-level sharing index.
+    and the sharing index of each indexed class set, by parent (``None`` for
+    the top level).
 
     Entity ids grow in entity order (the model appends every new entity with
     the next id), so a sweep orders its worklist by id.
@@ -87,9 +101,7 @@ class _CoreState:
         self.dirty: set[int] = (
             set(ids) if min_subclasses < 2 else _sharing_parents(model)
         )
-        self.index: Optional[SharingIndex] = None
-        # No two top-level classes share a key, and no firing changed one since.
-        self.unshared = False
+        self.indexes: dict[Optional[int], SharingIndex] = {}
         self._newest = ids[-1] if ids else 0
         # The running sweep's worklist; ids in (cursor, limit] are ahead of it.
         self._queue: list[int] = []
@@ -111,13 +123,30 @@ class _CoreState:
         # whole table, so compact it after each sweep.
         self.dirty = set(self.dirty)
 
+    def top(self, parent: Optional[int]) -> Optional[Candidate]:
+        """The top candidate among the direct subclasses of ``parent``, or
+        among the top-level classes when it is ``None``."""
+        model, index = self.model, self.indexes.get(parent)
+        if parent is not None:
+            subs = model.child_map()[parent]
+            if len(subs) == 1 or (index is None and len(subs) < INDEXED_CHILDREN):
+                if len(subs) > 1 and not shares_a_key(model, subs):
+                    return None  # every rule needs a key two of them declare
+                return top_candidate(model, subs)
+        elif not model.duplication_count:
+            return None  # every key has one owner
+        if index is None:
+            index = self.indexes[parent] = SharingIndex(model, parent)
+        return index.top()
+
     def touch(self, app: RuleApplication) -> None:
-        """Mark what ``app`` changed and update the index with it."""
+        """Mark what ``app`` changed and update the indexes of the sets it
+        changed: each changed entity's parents', or the top level's."""
         parents = self.model.parent_map()
         changed = {app.target, *app.sources}
-        hit = set(changed)
-        for eid in changed:
-            hit.update(parents.get(eid, ()))
+        sets = {sup for eid in changed for sup in parents.get(eid) or (None,)}
+        hit = changed | sets
+        hit.discard(None)
         if app.created is not None:
             self._newest = max(self._newest, app.created)
         for eid in hit:
@@ -125,10 +154,10 @@ class _CoreState:
                 self.dirty.add(eid)
                 if self._cursor < eid <= self._limit:
                     heappush(self._queue, eid)
-        if self.index is not None:
-            self.index.update(changed)
-        elif self.unshared:
-            self.unshared = all(parents.get(eid) for eid in changed)
+        for parent in sets:
+            index = self.indexes.get(parent)
+            if index is not None:
+                index.update(changed)
 
 
 def _sharing_parents(model: ClassModel) -> set[int]:
@@ -154,8 +183,8 @@ def _record(
     if options.min_subclasses >= 2 and model.declared_property_count >= decls_before:
         # Termination potential: every firing must remove declarations.
         raise RuleError(f"rule application did not decrease declarations: {app}")
-    if options.trace:
-        log.info(
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
             "%s keys=%s sources=%s target=%s",
             app.rule.value,
             [k.prop_name for k in app.keys],
@@ -164,6 +193,26 @@ def _record(
         )
     if applications is not None:
         applications.append(app)
+    return True
+
+
+def _attempt(
+    model: ClassModel,
+    options: EngineOptions,
+    applications: Optional[list[RuleApplication]],
+    state: _CoreState,
+    parent: Optional[int],
+) -> bool:
+    """Fire the top candidate among the direct subclasses of ``parent`` (the
+    top-level classes when it is ``None``), if it calls for a rule."""
+    candidate = state.top(parent)
+    if candidate is None:
+        return False
+    decls = model.declared_property_count
+    app = apply_shared_superclass_rule(model, parent, candidate, options.min_subclasses)
+    if not _record(model, options, applications, app, decls):
+        return False
+    state.touch(app)
     return True
 
 
@@ -183,13 +232,7 @@ def pass_rules_1_2(
     applied = False
     children = model.child_map()
     for eid in state.sweep():
-        subs = children.get(eid)
-        if not subs:
-            continue
-        decls = model.declared_property_count
-        app = apply_shared_superclass_rule(model, eid, subs, options.min_subclasses)
-        if _record(model, options, applications, app, decls):
-            state.touch(app)
+        if children.get(eid) and _attempt(model, options, applications, state, eid):
             applied = True
     return applied
 
@@ -203,27 +246,7 @@ def pass_rule_3(
     """One rule-3 attempt over the current top-level classes."""
     if state is None:
         state = _CoreState(model, options.min_subclasses)
-    if state.index is None:
-        parents = model.parent_map()
-        if (
-            state.unshared
-            or not model.duplication_count
-            or not shares_a_key(
-                model, (eid for eid in model.entity_ids() if not parents.get(eid))
-            )
-        ):
-            state.unshared = True
-            return False  # a candidate with one owner fires nothing
-        state.index = SharingIndex(model)
-    candidate = state.index.top()
-    if candidate is None:
-        return False
-    decls = model.declared_property_count
-    app = apply_candidate(model, None, candidate, options.min_subclasses)
-    if not _record(model, options, applications, app, decls):
-        return False
-    state.touch(app)
-    return True
+    return _attempt(model, options, applications, state, None)
 
 
 def restructure(
@@ -253,7 +276,7 @@ def restructure(
             raise IterationLimitExceeded(
                 f"no fixpoint after {iterations} iterations", report=report
             )
-    del state  # free the sharing index before the multiple-inheritance pass
+    del state  # free the sharing indexes before the multiple-inheritance pass
     if options.multi_inheritance:
         last = [model.declared_property_count]
 

@@ -1,8 +1,9 @@
 """The restructuring rules.
 
-``apply_shared_superclass_rule`` finds the top-ranked candidate among some
-classes and ``apply_candidate`` fires the rule it calls for; together they
-cover the three core rules:
+``apply_shared_superclass_rule`` fires the rule that the top-ranked
+candidate among some classes calls for. It does not rank: the fixpoint
+engine ranks the classes (``pullup.analysis``) and hands it the first
+candidate. It covers the three core rules:
 
 * rule 1 - the top candidate is shared by *all* given classes and a common
   superclass exists: move the keys into that superclass. A superclass that
@@ -36,13 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .analysis import (
-    Candidate,
-    common_props,
-    shares_a_key,
-    sharing_classes,
-    top_candidate,
-)
+from .analysis import Candidate, common_props, sharing_classes
 from .errors import RuleError
 from .model import ClassModel, Origin, PropKey
 
@@ -115,36 +110,6 @@ def _hoist(
 def apply_shared_superclass_rule(
     model: ClassModel,
     super_id: Optional[int],
-    classes: Iterable[int],
-    min_subclasses: int = 2,
-) -> Optional[RuleApplication]:
-    """Try the top-ranked candidate among ``classes``; report what fired.
-
-    With ``super_id`` set, ``classes`` must be exactly its direct subclasses
-    (rules 1 and 2); with ``super_id`` absent they are the top-level classes
-    (rule 3). ``classes`` is copied before anything changes, so it may be a
-    live set of the model. Returns ``None`` when no rule applies. The firing
-    itself is :func:`apply_candidate`'s.
-    """
-    if min_subclasses < 1:
-        raise RuleError("min_subclasses must be >= 1")
-    class_ids = frozenset(classes)
-    if super_id is not None:
-        target = model.entity(super_id)
-        if class_ids != model.child_map().get(super_id, frozenset()):
-            raise RuleError(f"classes are not the direct subclasses of {target.name}")
-    if len(class_ids) > 1 and not shares_a_key(model, class_ids):
-        # Every rule needs a key that two of the classes declare.
-        return None
-    candidate = top_candidate(model, class_ids)
-    if candidate is None:
-        return None
-    return apply_candidate(model, super_id, candidate, min_subclasses)
-
-
-def apply_candidate(
-    model: ClassModel,
-    super_id: Optional[int],
     candidate: Candidate,
     min_subclasses: int = 2,
 ) -> Optional[RuleApplication]:
@@ -158,6 +123,8 @@ def apply_candidate(
     key names. Otherwise two or more owners get a fresh common superclass:
     rule 2 places it below ``super_id``, rule 3 at the top level.
     """
+    if min_subclasses < 1:
+        raise RuleError("min_subclasses must be >= 1")
     keys, owners = candidate.keys, candidate.owners
     if super_id is not None:
         target = model.entity(super_id)

@@ -7,6 +7,7 @@ time grows.
 
 import random
 
+from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.model import ClassModel, PropKey
 
 _TYPES = ("T", "U")
@@ -53,4 +54,42 @@ def fanout_model(p, seed):
         eid = model.add_entity(f"B{i}")
         model.add_generalization(eid, model.add_entity(f"R{i}"))
         model.add_property(eid, key)
+    return model
+
+
+def rooted_model(family, scale, seed):
+    """The seeded ``generate_model`` model of ``family`` (``flat`` or
+    ``mixed``) with one class ``Root`` above every top-level class, the
+    single base class over everything that real class diagrams have. Rule 2
+    then fires on ``Root`` where rule 3 fires on the model without it."""
+    model = generate_model(GeneratorSpec(Family(family), scale, seed))
+    tops = [eid for eid in model.entity_ids() if model.is_top_level(eid)]
+    root = model.add_entity("Root")
+    for eid in tops:
+        model.add_generalization(eid, root)
+    return model
+
+
+def climbing_chain_model(depth, others):
+    """A chain ``P0 <- P1 <- ... <- P<depth-1>`` in which every ``P<i>`` has
+    a second subclass ``Q<i>`` declaring ``a:T``, and the last one a third,
+    ``Q<depth>``, declaring it too; beside it, ``others`` top-level classes
+    declaring a key each that no other class declares. Rule 1 hoists ``a``
+    into ``P<depth-1>`` in the first pass and climbs one level per pass, so
+    the core fixpoint takes ``depth + 1`` passes."""
+    model = ClassModel()
+    model.add_type("T")
+    key = PropKey("a", "T")
+    chain = [model.add_entity(f"P{i}") for i in range(depth)]
+    for i, eid in enumerate(chain):
+        if i:
+            model.add_generalization(eid, chain[i - 1])
+        q = model.add_entity(f"Q{i}")
+        model.add_property(q, key)
+        model.add_generalization(q, eid)
+    q = model.add_entity(f"Q{depth}")
+    model.add_property(q, key)
+    model.add_generalization(q, chain[-1])
+    for i in range(others):
+        model.add_property(model.add_entity(f"O{i}"), PropKey(f"o{i}", "T"))
     return model

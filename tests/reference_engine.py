@@ -1,12 +1,12 @@
 """Reference engine: every pass re-ranks every superclass and the whole
 top-level set, and the multiple-inheritance pass ranks every entity.
 
-This is the engine's full re-ranking loop before it was made incremental,
-built on ``apply_shared_superclass_rule`` (which ranks with
-``common_props``) alone, followed by the multiple-inheritance pass before it
-learned to rank only the entities that share a key. The engine must fire the
-same rules in the same order, take the same number of passes and save the
-same bytes.
+This is the engine's full re-ranking loop before it was made incremental:
+each attempt ranks its class set with ``common_props`` and hands the first
+candidate to ``apply_shared_superclass_rule``. The multiple-inheritance pass
+is the one from before it learned to rank only the entities that share a
+key. The engine must fire the same rules in the same order, take the same
+number of passes and save the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,14 @@ from pullup.analysis import common_props
 from pullup.engine import EngineOptions
 from pullup.model import Origin
 from pullup.rules import RuleApplication, RuleKind, apply_shared_superclass_rule
+
+
+def reference_attempt(model, super_id, classes, min_subclasses=2):
+    """Rank ``classes`` and fire their first candidate, if any."""
+    ranking = common_props(model, classes)
+    if not ranking:
+        return None
+    return apply_shared_superclass_rule(model, super_id, ranking[0], min_subclasses)
 
 
 def reference_restructure(model, options=None):
@@ -28,12 +36,12 @@ def reference_restructure(model, options=None):
             subs = model.child_map().get(eid)
             if not subs:
                 continue
-            app = apply_shared_superclass_rule(model, eid, subs, options.min_subclasses)
+            app = reference_attempt(model, eid, subs, options.min_subclasses)
             if app is not None:
                 applications.append(app)
                 applied = True
         tops = {eid for eid in model.entity_ids() if model.is_top_level(eid)}
-        app = apply_shared_superclass_rule(model, None, tops, options.min_subclasses)
+        app = reference_attempt(model, None, tops, options.min_subclasses)
         if app is not None:
             applications.append(app)
             applied = True

@@ -6,6 +6,7 @@ lines as they complete.
 
 import math
 import time
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleKind
 
 from conftest import left_example, names, right_example
-from large_shapes import fanout_model, wide_model
+from large_shapes import fanout_model, rooted_model, wide_model
 from oracle import (
     enumerate_tiny_models,
     greedy_single_key_baseline,
@@ -252,15 +253,14 @@ def test_criterion_8_diamond_lattice_load_performance():
     _passed(f"8 diamond-lattice load performance {result}")
 
 
-def _wide_ladder(build, sizes, max_slope):
-    """Restructure a ladder of ``build(p, seed)`` models ending at ~100k
-    elements, each rung timed as the best of 3. A firing must cost the keys
-    it moves, not the size of the classes squared, so ``max_slope`` must
-    fail a quadratic, which 2.2, the other ladders' bound, lets pass."""
+def _best_of_3_ladder(build, sizes, max_slope):
+    """Restructure a ladder of ``build(size, seed)`` models ending at ~100k
+    elements, each rung timed as the best of 3. ``max_slope`` must fail a
+    quadratic, which 2.2, the other ladders' bound, lets pass."""
     pytest.importorskip("numpy")
     counts, times = [], []
-    for p in sizes:
-        model = build(p, seed=8)
+    for size in sizes:
+        model = build(size, seed=8)
         best = math.inf
         for _ in range(3):
             m = model.clone()
@@ -274,7 +274,9 @@ def _wide_ladder(build, sizes, max_slope):
 
 
 def test_criterion_8_wide_class_performance():
-    result = _wide_ladder(wide_model, (4000, 8000, 16000), max_slope=1.5)
+    # A firing must cost the keys it moves, not the size of the classes
+    # squared.
+    result = _best_of_3_ladder(wide_model, (4000, 8000, 16000), max_slope=1.5)
     _passed(f"8 wide-class performance {result}")
 
 
@@ -282,8 +284,18 @@ def test_criterion_8_wide_class_fanout_performance():
     # Linear work over this shape's 40k classes reads a slope of up to ~1.5
     # from cache misses alone on a shared 2-vCPU host; a quadratic reads
     # over 2.
-    result = _wide_ladder(fanout_model, (5000, 10000, 20000), max_slope=1.7)
+    result = _best_of_3_ladder(fanout_model, (5000, 10000, 20000), max_slope=1.7)
     _passed(f"8 wide-class fan-out performance {result}")
+
+
+@pytest.mark.parametrize("family", ["flat", "mixed"])
+def test_criterion_8_rooted_performance(family):
+    # One root over everything: rule 2 fires on it once per pass, so ranking
+    # its children from scratch at every attempt grows quadratically.
+    result = _best_of_3_ladder(
+        partial(rooted_model, family), (700, 1400, 2800, 5600), max_slope=1.7
+    )
+    _passed(f"8 rooted {family} performance {result}")
 
 
 def test_criterion_9_termination_guard():

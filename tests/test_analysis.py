@@ -12,9 +12,11 @@ from pullup.analysis import (
 )
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.model import PropKey, UnknownEntityError
-from pullup.rules import apply_candidate, apply_shared_superclass_rule
+from pullup.rules import apply_shared_superclass_rule
 
 from conftest import build_model, names
+from large_shapes import rooted_model
+from reference_engine import reference_attempt
 from shapes import shapes
 
 
@@ -178,10 +180,29 @@ def test_sharing_index_follows_rule3_firings(family):
         assert top == _top_by_ranking(m)
         if top is None:
             break
-        app = apply_candidate(m, None, top)
+        app = apply_shared_superclass_rule(m, None, top)
         index.update({app.target, *app.sources})
         fired += 1
     assert fired > 0 or family is Family.STAR_HIERARCHIES
+
+
+@pytest.mark.parametrize("family", ["flat", "mixed"])
+def test_a_parent_index_follows_rule2_firings(family):
+    m = rooted_model(family, 30, seed=4)
+    root = m.entity_id("Root")
+    index = SharingIndex(m, root)
+    fired = 0
+    while True:
+        ranking = common_props(m, m.child_map()[root])
+        top = index.top()
+        assert top == (ranking[0] if len(ranking[0].owners) > 1 else None)
+        if top is None:
+            break
+        app = apply_shared_superclass_rule(m, root, top)
+        # The sources have left Root's child set; the target has joined it.
+        index.update({app.target, *app.sources})
+        fired += 1
+    assert fired > 0
 
 
 def test_sharing_index_follows_rule1_into_top_level_superclass():
@@ -192,7 +213,7 @@ def test_sharing_index_follows_rule1_into_top_level_superclass():
     index = SharingIndex(m)
     assert names(m, index.top().owners) == ["Y", "Z"]
     s = m.entity_id("S")
-    app = apply_shared_superclass_rule(m, s, m.child_map()[s])
+    app = reference_attempt(m, s, m.child_map()[s])
     index.update({app.target, *app.sources})
     # The top-level S now declares a, like X; {S, X} ties with {Y, Z} on size
     # and frequency and wins on names.

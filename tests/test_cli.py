@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,10 @@ import pytest
 
 import pullup
 from pullup.cli import main
-from pullup.modelfile import load_model
+from pullup.modelfile import load_model, save_model
 
 from conftest import FIXTURES
+from large_shapes import rooted_model
 
 
 def test_restructure_left_with_metrics(tmp_path, capsys):
@@ -122,22 +124,42 @@ def test_module_invocation():
 
 
 def test_restructure_output_does_not_depend_on_the_hash_seed(tmp_path):
-    model = tmp_path / "mixed.model"
+    # The rooted model's root is ranked from a sharing index, whose updates
+    # iterate sets of string-hashed keys.
+    generated = tmp_path / "mixed.model"
     assert main(
-        ["generate", "--family", "mixed", "--scale", "300", "--seed", "1", "-o", str(model)]
+        ["generate", "--family", "mixed", "--scale", "300", "--seed", "1", "-o", str(generated)]
     ) == 0
-    outputs = []
-    for seed in range(4):
-        out = tmp_path / f"out{seed}.model"
-        proc = _run_module(
-            "restructure", str(model), "-o", str(out),
-            "--multi-inheritance", "--min-subclasses", "1",
-            PYTHONHASHSEED=str(seed),
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] != model.read_bytes()
-    assert outputs.count(outputs[0]) == len(outputs)
+    rooted = tmp_path / "rooted.model"
+    rooted.write_bytes(save_model(rooted_model("mixed", 300, seed=1)))
+    for model in (generated, rooted):
+        outputs = []
+        for seed in range(4):
+            out = tmp_path / f"out{seed}.model"
+            proc = _run_module(
+                "restructure", str(model), "-o", str(out),
+                "--multi-inheritance", "--min-subclasses", "1",
+                PYTHONHASHSEED=str(seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] != model.read_bytes()
+        assert outputs.count(outputs[0]) == len(outputs)
+
+
+def test_trace_logs_one_line_per_firing(tmp_path):
+    plain, traced = tmp_path / "plain.model", tmp_path / "traced.model"
+    args = [str(FIXTURES / "left.model"), "--multi-inheritance", "--metrics"]
+    quiet = _run_module("restructure", "-o", str(plain), *args)
+    loud = _run_module("restructure", "-o", str(traced), "--trace", *args)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    firings = int(re.search(r"rule firings\s+(\d+)", loud.stdout).group(1))
+    lines = loud.stderr.splitlines()
+    assert firings > 1 and len(lines) == firings
+    assert all(line.startswith("DEBUG:pullup.engine:") for line in lines)
+    assert lines[0].endswith("rule3 keys=['c'] sources=['B', 'C', 'D'] target=NewClass1")
+    assert traced.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("super_type", ["T", "U"])

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -6,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from pullup import engine
-from pullup.engine import EngineOptions, pass_rule_3, pass_rules_1_2, restructure
+from pullup.engine import (
+    INDEXED_CHILDREN,
+    EngineOptions,
+    pass_rule_3,
+    pass_rules_1_2,
+    restructure,
+)
 from pullup.errors import IterationLimitExceeded, RuleError
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import hierarchy_restriction_equal
@@ -15,6 +22,7 @@ from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleApplication, RuleKind
 
 from conftest import FIXTURES, build_model, left_example, names, right_example
+from large_shapes import climbing_chain_model
 from reference_engine import reference_restructure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -157,11 +165,16 @@ def test_restructure_deterministic(left_model):
 
 
 def test_trace_logs_applications(caplog, left_model):
-    import logging
-
+    # Each firing is logged at DEBUG; below that level nothing is.
     with caplog.at_level(logging.INFO, logger="pullup.engine"):
-        restructure(left_model, EngineOptions(trace=True))
-    assert any("rule3" in rec.message or "rule3" in rec.getMessage() for rec in caplog.records)
+        restructure(left_example(), EngineOptions())
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="pullup.engine"):
+        report = restructure(left_model, EngineOptions(multi_inheritance=True))
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert len(messages) == len(report.applications)
+    assert [m.split()[0] for m in messages] == [a.rule.value for a in report.applications]
+    assert messages[0] == "rule3 keys=['c'] sources=['B', 'C', 'D'] target=NewClass1"
 
 
 @pytest.mark.parametrize("super_type", ["T", "U"])
@@ -200,31 +213,33 @@ def test_clean_superclasses_are_not_ranked_again(monkeypatch):
         edges=[("A", "S"), ("B", "S"), ("C", "R"), ("D", "R")],
     )
     ranked = []
-    real = engine.apply_shared_superclass_rule
+    real = engine.shares_a_key
 
-    def spy(model, super_id, *args):
-        ranked.append(model.entity(super_id).name)
-        return real(model, super_id, *args)
+    def spy(model, classes):
+        ranked.append(names(model, classes))
+        return real(model, classes)
 
-    monkeypatch.setattr(engine, "apply_shared_superclass_rule", spy)
+    monkeypatch.setattr(engine, "shares_a_key", spy)
     state = engine._CoreState(m, 2)
     assert pass_rules_1_2(m, EngineOptions(), None, state) is True  # rule 1 on R
-    assert ranked == ["R"]  # S's subclasses share no key
+    assert ranked == [["C", "D"]]  # S's subclasses share no key
     ranked.clear()
     assert pass_rules_1_2(m, EngineOptions(), None, state) is False
-    assert ranked == ["R"]  # R's declarations changed, S's inputs did not
+    assert ranked == [["C", "D"]]  # R's declarations changed, S's inputs did not
     ranked.clear()
     assert pass_rules_1_2(m, EngineOptions(), None, state) is False
     assert ranked == []
 
 
 def _count_index_builds(monkeypatch):
+    """Record the parent of every class set that gets a sharing index
+    (``None`` for the top level)."""
     built = []
     real = engine.SharingIndex
 
-    def counting(model):
-        built.append(model)
-        return real(model)
+    def counting(model, parent=None):
+        built.append(parent)
+        return real(model, parent)
 
     monkeypatch.setattr(engine, "SharingIndex", counting)
     return built
@@ -239,20 +254,71 @@ def _assert_like_reference(model, options):
 
 
 @pytest.mark.parametrize("multi", [False, True])
-def test_rule_3_index_is_built_only_when_top_level_classes_share_a_key(
-    monkeypatch, multi
-):
+def test_rule_3_index_is_built_once_and_serves_every_pass(monkeypatch, multi):
     options = EngineOptions(multi_inheritance=multi)
     built = _count_index_builds(monkeypatch)
-    # Every star's keys carry its own number, so no two roots share one.
+    # Every star's keys carry its own number, so no two roots share one, and
+    # no star has INDEXED_CHILDREN subclasses: at most the top level's index.
     _assert_like_reference(
         generate_model(GeneratorSpec(Family.STAR_HIERARCHIES, 60, 4)), options
     )
-    assert built == []
+    assert built in ([], [None])
+    built.clear()
     flat = generate_model(GeneratorSpec(Family.FLAT_SHARED, 60, 4))
     report = _assert_like_reference(flat, options)
-    assert len(built) == 1
+    assert built == [None]
     assert report.iterations > 2  # the one index served every pass
+
+
+def test_rules_1_2_climb_a_chain_without_scanning_the_top_level(monkeypatch):
+    # Rule 1 climbs the chain one level per pass, 2,000 passes, beside 5,000
+    # top-level classes that share nothing. The top level is indexed once;
+    # no pass ranks it again.
+    built = _count_index_builds(monkeypatch)
+    widest = [0]
+    for name in ("shares_a_key", "top_candidate"):
+        real = getattr(engine, name)
+
+        def spy(model, classes, real=real):
+            widest[0] = max(widest[0], len(classes))
+            return real(model, classes)
+
+        monkeypatch.setattr(engine, name, spy)
+    model = climbing_chain_model(2000, 5000)
+    report = restructure(model, EngineOptions())
+    assert report.iterations == 2001
+    assert [a.rule for a in report.applications] == [RuleKind.RULE1] * 2000
+    assert built == [None] and widest[0] == 2
+    assert model.duplication_count == 0
+
+
+@pytest.mark.parametrize("min_subclasses", [1, 2, 3])
+@pytest.mark.parametrize("multi", [False, True])
+def test_a_climbing_chain_matches_reference(min_subclasses, multi):
+    options = EngineOptions(multi_inheritance=multi, min_subclasses=min_subclasses)
+    _assert_like_reference(climbing_chain_model(12, 30), options)
+
+
+@pytest.mark.parametrize("children", [INDEXED_CHILDREN, 70, 200])
+@pytest.mark.parametrize("min_subclasses", [1, 2, 3])
+@pytest.mark.parametrize("multi", [False, True])
+def test_an_indexed_set_still_offers_its_only_child(
+    monkeypatch, children, min_subclasses, multi
+):
+    # R and its children all declare a:T, so rule 2 moves every child below
+    # a new class; rule 3 then takes a from R and the top-level O, and under
+    # min_subclasses=1 rule 1 hoists a from R's only child into R.
+    m = build_model(
+        {"R": ["a"], "O": ["a"], **{f"C{i}": ["a", f"k{i}"] for i in range(children)}},
+        edges=[(f"C{i}", "R") for i in range(children)],
+    )
+    built = _count_index_builds(monkeypatch)
+    options = EngineOptions(multi_inheritance=multi, min_subclasses=min_subclasses)
+    report = _assert_like_reference(m, options)
+    assert m.entity_id("R") in built
+    rules = [a.rule for a in report.applications if a.rule.value.startswith("rule")]
+    only_child = [RuleKind.RULE1] if min_subclasses == 1 else []
+    assert rules == [RuleKind.RULE2, RuleKind.RULE3, *only_child]
 
 
 def test_rule_3_looks_again_after_a_top_level_class_changes(monkeypatch):
@@ -321,7 +387,7 @@ def test_termination_guard_raises_rule_error(monkeypatch, left_model):
             RuleKind.RULE3, candidate.keys, candidate.owners, min(candidate.owners)
         )
 
-    monkeypatch.setattr(engine, "apply_candidate", idle)
+    monkeypatch.setattr(engine, "apply_shared_superclass_rule", idle)
     with pytest.raises(RuleError, match="did not decrease"):
         restructure(left_model, EngineOptions(max_iterations=3))
 
@@ -345,23 +411,29 @@ def model():
             m.add_generalization(eid, sup)
     return m
 
-def idle_rule(model, super_id, classes, min_subclasses):
-    return RuleApplication(RuleKind.RULE1, (PropKey("a", "T"),), frozenset(classes), super_id)
+real = engine.apply_shared_superclass_rule
 
-def idle_candidate(model, super_id, candidate, min_subclasses):
-    return RuleApplication(RuleKind.RULE3, candidate.keys, candidate.owners, min(candidate.owners))
+def idle_at(top_level):
+    # Reports a firing at one level without removing any declaration.
+    def idle(model, super_id, candidate, min_subclasses):
+        if (super_id is None) != top_level:
+            return real(model, super_id, candidate, min_subclasses)
+        kind, target = (
+            (RuleKind.RULE3, min(candidate.owners)) if top_level else (RuleKind.RULE1, super_id)
+        )
+        return RuleApplication(kind, candidate.keys, candidate.owners, target)
+    return idle
 
-for name, idle in (("apply_shared_superclass_rule", idle_rule), ("apply_candidate", idle_candidate)):
-    real = getattr(engine, name)
-    setattr(engine, name, idle)
+for top_level in (False, True):
+    engine.apply_shared_superclass_rule = idle_at(top_level)
     try:
         engine.restructure(model(), EngineOptions(max_iterations=3))
     except RuleError as exc:
         assert "did not decrease" in str(exc), exc
     else:
-        raise SystemExit(name + ": the guard did not fire")
+        raise SystemExit(f"top_level={top_level}: the guard did not fire")
     finally:
-        setattr(engine, name, real)
+        engine.apply_shared_superclass_rule = real
 print("guard ok")
 """
 
