@@ -118,13 +118,18 @@ class SharingIndex:
     owner sets by ``rank_key``. An update pushes a fresh entry for every
     owner set whose key count changed; an entry whose count is no longer
     current is stale and dropped when it reaches the top.
+
+    The top level files only the classes that declare a duplicated key
+    (``sharing_classes``). No firing gives a key another owner, so another
+    top-level class joins no shared group until a firing changes it, and
+    then ``update`` files it.
     """
 
     def __init__(self, model: ClassModel, parent: Optional[int] = None) -> None:
         self._model, self._parent = model, parent
         if parent is None:
             parents = model.parent_map()
-            members = [eid for eid in model.entity_ids() if not parents.get(eid)]
+            members = [eid for eid in sharing_classes(model) if not parents.get(eid)]
         else:
             members = model.child_map().get(parent, ())
         self._keys = {eid: model.entity(eid).prop_keys() for eid in members}

@@ -91,18 +91,16 @@ class _CoreState:
     and the sharing index of each indexed class set, by parent (``None`` for
     the top level).
 
-    Entity ids grow in entity order (the model appends every new entity with
-    the next id), so a sweep orders its worklist by id.
+    Ids are dense and in entity order (see :class:`~pullup.model.ClassModel`),
+    so a sweep orders its worklist by id and the newest id is ``len(model)``.
     """
 
     def __init__(self, model: ClassModel, min_subclasses: int) -> None:
         self.model = model
-        ids = model.entity_ids()
         self.dirty: set[int] = (
-            set(ids) if min_subclasses < 2 else _sharing_parents(model)
+            set(model.entity_ids()) if min_subclasses < 2 else _sharing_parents(model)
         )
         self.indexes: dict[Optional[int], SharingIndex] = {}
-        self._newest = ids[-1] if ids else 0
         # The running sweep's worklist; ids in (cursor, limit] are ahead of it.
         self._queue: list[int] = []
         self._cursor = self._limit = 0
@@ -110,7 +108,7 @@ class _CoreState:
     def sweep(self) -> Iterator[int]:
         """Yield the dirty entities that exist now, in entity order, each
         unmarked as it is yielded."""
-        self._limit = limit = self._newest
+        self._limit = limit = len(self.model)
         queue = self._queue = [eid for eid in self.dirty if eid <= limit]
         heapify(queue)
         while queue:
@@ -147,8 +145,6 @@ class _CoreState:
         sets = {sup for eid in changed for sup in parents.get(eid) or (None,)}
         hit = changed | sets
         hit.discard(None)
-        if app.created is not None:
-            self._newest = max(self._newest, app.created)
         for eid in hit:
             if eid not in self.dirty:
                 self.dirty.add(eid)

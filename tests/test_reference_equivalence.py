@@ -5,11 +5,12 @@ same rules in the same order: on generated corpora of every family, and on
 hypothesis-built shapes the generators never produce (several parents,
 diamonds, deep chains, synthesized classes in the input, originals named
 ``NewClass<k>``, superclasses declaring a name their subclasses share), on
-wide classes, and on generated models below one root. On those shapes every
-leaf also keeps its flattened properties, with and without the
-multiple-inheritance pass. The shapes run a second time with every child
-set of two or more classes ranked from a sharing index, which the engine
-otherwise keeps for large sets only.
+wide classes, on generated models below one root, and on stars whose
+superclasses declare the name their subclasses share, joined by diamonds.
+On those shapes every leaf also keeps its flattened properties, with and
+without the multiple-inheritance pass. The shapes run a second time with
+every child set of two or more classes ranked from a sharing index, which
+the engine otherwise keeps for large sets only, and keep their ids dense.
 """
 
 import pytest
@@ -21,10 +22,15 @@ from pullup.engine import EngineOptions, restructure
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import hierarchy_restriction_equal
 from pullup.model import Origin
-from pullup.modelfile import save_model
+from pullup.modelfile import load_model, save_model
 
 from conftest import build_model
-from large_shapes import fanout_model, rooted_model, wide_model
+from large_shapes import (
+    fanout_model,
+    rooted_model,
+    shadowed_diamond_model,
+    wide_model,
+)
 from reference_engine import reference_restructure
 from shapes import shapes
 
@@ -72,6 +78,16 @@ def test_awkward_shapes_match_reference(model, options):
     assert_keeps_leaves(model, options)
 
 
+# The engine's sweep bounds its worklist by len(model), so ids must stay
+# 1..len(model) in entity order through every way a model is made.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=shapes(), options=st.sampled_from(OPTIONS))
+def test_ids_stay_dense(model, options):
+    restructure(model, options)
+    for m in (model, model.clone(), load_model(save_model(model))):
+        assert m.entity_ids() == list(range(1, len(m) + 1))
+
+
 # E0 declares a:T above E1 and E3, which declare it too, beside a top-level
 # E2 declaring it: rule 2 leaves E0 one child, rule 3 takes a from E0 and
 # E2, and under min_subclasses=1 rule 1 then hoists from E0's only child,
@@ -104,5 +120,13 @@ def test_rooted_models_match_reference(family, scale, options):
 @pytest.mark.parametrize("options", OPTIONS)
 def test_wide_classes_match_reference(build, options):
     model = build(200, seed=3)
+    out = assert_keeps_leaves(model, options)
+    assert hierarchy_restriction_equal(model, out)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("options", OPTIONS)
+def test_shadowed_diamonds_match_reference(seed, options):
+    model = shadowed_diamond_model(110, seed)
     out = assert_keeps_leaves(model, options)
     assert hierarchy_restriction_equal(model, out)
