@@ -170,7 +170,7 @@ def _sharing_parents(model: ClassModel) -> set[int]:
 def _record(
     model: ClassModel,
     options: EngineOptions,
-    applications: Optional[list[RuleApplication]],
+    applications: list[RuleApplication],
     app: Optional[RuleApplication],
     decls_before: int,
 ) -> bool:
@@ -187,15 +187,14 @@ def _record(
             sorted(model.entity(s).name for s in app.sources),
             model.entity(app.target).name,
         )
-    if applications is not None:
-        applications.append(app)
+    applications.append(app)
     return True
 
 
 def _attempt(
     model: ClassModel,
     options: EngineOptions,
-    applications: Optional[list[RuleApplication]],
+    applications: list[RuleApplication],
     state: _CoreState,
     parent: Optional[int],
 ) -> bool:
@@ -215,16 +214,11 @@ def _attempt(
 def pass_rules_1_2(
     model: ClassModel,
     options: EngineOptions,
-    applications: Optional[list[RuleApplication]] = None,
-    state: Optional[_CoreState] = None,
+    applications: list[RuleApplication],
+    state: _CoreState,
 ) -> bool:
-    """One sweep of rules 1 and 2 over the superclasses ``state`` marks dirty
-    (without a ``state``, over all of them), in entity order.
-
-    Entities created mid-pass are not visited until the next pass.
-    """
-    if state is None:
-        state = _CoreState(model, options.min_subclasses)
+    """One sweep of rules 1 and 2 over the superclasses ``state`` marks
+    dirty, in entity order. Entities created mid-pass wait for the next pass."""
     applied = False
     children = model.child_map()
     for eid in state.sweep():
@@ -236,12 +230,10 @@ def pass_rules_1_2(
 def pass_rule_3(
     model: ClassModel,
     options: EngineOptions,
-    applications: Optional[list[RuleApplication]] = None,
-    state: Optional[_CoreState] = None,
+    applications: list[RuleApplication],
+    state: _CoreState,
 ) -> bool:
     """One rule-3 attempt over the current top-level classes."""
-    if state is None:
-        state = _CoreState(model, options.min_subclasses)
     return _attempt(model, options, applications, state, None)
 
 

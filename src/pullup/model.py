@@ -3,9 +3,10 @@
 A :class:`ClassModel` holds named types, an ordered list of entities (classes
 with declared properties), and generalization edges forming a DAG: each
 entity's direct superclasses in a parent map, mirrored by a child map.
-All mutations validate their preconditions and leave the model untouched on
-failure; :meth:`ClassModel.validate` re-checks every invariant from the data
-itself and reports violations as strings. :class:`ModelBuilder` fills a fresh
+The public mutations check their preconditions and leave the model untouched
+on failure; ``ClassModel._link``, the one unchecked writer (of an edge), is
+for callers that have checked already. :meth:`ClassModel.validate` re-checks
+every invariant from the data itself. :class:`ModelBuilder` fills a fresh
 model from a document's tokens for the loader.
 """
 
@@ -230,6 +231,10 @@ class ClassModel:
             raise CycleError(
                 f"generalization {e_sub.name} -> {e_sup.name} would create a cycle"
             )
+        self._link(sub, sup)
+
+    def _link(self, sub: int, sup: int) -> None:
+        """Write ``sub -> sup`` into both maps, unchecked; a second write is a no-op."""
         self._parents.setdefault(sub, set()).add(sup)
         self._children.setdefault(sup, set()).add(sub)
 
@@ -462,8 +467,7 @@ class ModelBuilder:
                 sup = by_name.get(name)
                 if sup is None or sup == sub or sup in parents.get(sub, ()):
                     return good
-                parents.setdefault(sub, set()).add(sup)
-                children.setdefault(sup, set()).add(sub)
+                model._link(sub, sup)
             return len(noted)
 
         supers = self._supers

@@ -94,17 +94,20 @@ def _hoist(
     for key in keys:
         if have.get(key.prop_name) != key:
             model.add_property(target, key)
+    # The edges go in unchecked, as none can close a cycle: a fresh target has
+    # no ancestors and nothing below it but the sources' subtrees, which cannot
+    # hold ``below``, their direct superclass. Rule 1's target has the edges
+    # already, and a reused target is top-level.
     for sid in sources:
         for key in keys:
             model.delete_property(sid, key.prop_name)
         if below is not None:
             model.delete_generalization(sid, below)
-        if not model.has_generalization(sid, target):
-            model.add_generalization(sid, target)
+        model._link(sid, target)
     if below is not None:
         # Last, so that ``below``'s child set has shrunk before it grows: a
         # set resized on the way up keeps the larger table.
-        model.add_generalization(target, below)
+        model._link(target, below)
     return target
 
 

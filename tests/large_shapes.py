@@ -70,6 +70,18 @@ def rooted_model(family, scale, seed):
     return model
 
 
+def _link_chain(model, chain, below):
+    """Make each class of ``chain`` a subclass of the one before it, and
+    each class of ``below[i]`` a subclass of ``chain[i]``. The edges go in
+    deepest first, while the superclass has no ancestors yet, so adding each
+    one walks no chain and the build stays linear in the depth."""
+    for i in reversed(range(len(chain))):
+        for eid in below.get(i, ()):
+            model.add_generalization(eid, chain[i])
+        if i:
+            model.add_generalization(chain[i], chain[i - 1])
+
+
 def climbing_chain_model(depth, others):
     """A chain ``P0 <- P1 <- ... <- P<depth-1>`` in which every ``P<i>`` has
     a second subclass ``Q<i>`` declaring ``a:T``, and the last one a third,
@@ -81,17 +93,48 @@ def climbing_chain_model(depth, others):
     model.add_type("T")
     key = PropKey("a", "T")
     chain = [model.add_entity(f"P{i}") for i in range(depth)]
-    for i, eid in enumerate(chain):
-        if i:
-            model.add_generalization(eid, chain[i - 1])
+    below = {}
+    for i in range(depth + 1):
         q = model.add_entity(f"Q{i}")
         model.add_property(q, key)
-        model.add_generalization(q, eid)
-    q = model.add_entity(f"Q{depth}")
-    model.add_property(q, key)
-    model.add_generalization(q, chain[-1])
+        below.setdefault(min(i, depth - 1), []).append(q)
+    _link_chain(model, chain, below)
     for i in range(others):
         model.add_property(model.add_entity(f"O{i}"), PropKey(f"o{i}", "T"))
+    return model
+
+
+def deep_bottom(depth, pairs):
+    """A bare chain ``C0 <- C1 <- ... <- C<depth-1>`` with ``pairs`` pairs
+    ``A<j>``, ``B<j>`` below its last class that share ``k<j>:T``, a key no
+    other class declares. Each pass of the core fixpoint fires rule 2 there
+    once, ``depth`` classes deep."""
+    model = ClassModel()
+    model.add_type("T")
+    chain = [model.add_entity(f"C{i}") for i in range(depth)]
+    bottom = []
+    for j in range(pairs):
+        for name in ("A", "B"):
+            bottom.append(model.add_entity(f"{name}{j}"))
+            model.add_property(bottom[-1], PropKey(f"k{j}", "T"))
+    _link_chain(model, chain, {depth - 1: bottom})
+    return model
+
+
+def comb(depth):
+    """A chain ``C0 <- C1 <- ... <- C<depth-1>`` in which every ``C<i>`` has
+    its own pair ``A<i>``, ``B<i>`` sharing ``k<i>:T``, ``8 * depth - 1``
+    elements. Rule 2 fires below every chain class, at every depth, in the
+    first pass."""
+    model = ClassModel()
+    model.add_type("T")
+    chain, pairs = [], {}
+    for i in range(depth):
+        chain.append(model.add_entity(f"C{i}"))
+        pairs[i] = [model.add_entity(f"{name}{i}") for name in ("A", "B")]
+        for eid in pairs[i]:
+            model.add_property(eid, PropKey(f"k{i}", "T"))
+    _link_chain(model, chain, pairs)
     return model
 
 

@@ -20,6 +20,8 @@ from pullup.rules import RuleKind
 
 from conftest import left_example, names, right_example
 from large_shapes import (
+    comb,
+    deep_bottom,
     fanout_model,
     rooted_model,
     shadowed_diamond_model,
@@ -298,6 +300,25 @@ def test_criterion_8_shadowed_diamond_performance():
         shadowed_diamond_model, (900, 1800, 3600, 7200), max_slope=1.7
     )
     _passed(f"8 shadowed-diamond performance {result}")
+
+
+def test_criterion_8_deep_bottom_performance():
+    # Rule 2 fires once per pass below a chain 7 * pairs classes deep: a
+    # firing must not walk the chain above it.
+    result = _best_of_3_ladder(
+        lambda pairs, seed: deep_bottom(7 * pairs, pairs),
+        (625, 1250, 2500, 5000),
+        max_slope=1.7,
+    )
+    _passed(f"8 deep-bottom performance {result}")
+
+
+def test_criterion_8_comb_performance():
+    # Rule 2 fires below every class of a chain, at every depth.
+    result = _best_of_3_ladder(
+        lambda depth, seed: comb(depth), (1563, 3125, 6250, 12500), max_slope=1.7
+    )
+    _passed(f"8 comb performance {result}")
 
 
 @pytest.mark.parametrize("family", ["flat", "mixed"])

@@ -11,7 +11,7 @@ from pullup.cli import main
 from pullup.modelfile import load_model, save_model
 
 from conftest import FIXTURES
-from large_shapes import rooted_model
+from large_shapes import deep_bottom, rooted_model
 
 
 def test_restructure_left_with_metrics(tmp_path, capsys):
@@ -124,15 +124,18 @@ def test_module_invocation():
 
 
 def test_restructure_output_does_not_depend_on_the_hash_seed(tmp_path):
-    # The rooted model's root is ranked from a sharing index, whose updates
-    # iterate sets of string-hashed keys.
+    # The rooted model's root and the 80 classes at the bottom of the deep
+    # chain are ranked from a sharing index, whose updates iterate sets of
+    # string-hashed keys.
     generated = tmp_path / "mixed.model"
     assert main(
         ["generate", "--family", "mixed", "--scale", "300", "--seed", "1", "-o", str(generated)]
     ) == 0
     rooted = tmp_path / "rooted.model"
     rooted.write_bytes(save_model(rooted_model("mixed", 300, seed=1)))
-    for model in (generated, rooted):
+    deep = tmp_path / "deep.model"
+    deep.write_bytes(save_model(deep_bottom(200, 40)))
+    for model in (generated, rooted, deep):
         outputs = []
         for seed in range(4):
             out = tmp_path / f"out{seed}.model"

@@ -30,13 +30,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_pass_rules_1_2_single_rule1_firing():
     m = build_model({"S": [], "A": ["a"], "B": ["a"]}, edges=[("A", "S"), ("B", "S")])
-    assert pass_rules_1_2(m, EngineOptions()) is True
+    options = EngineOptions()
+    state = engine._CoreState(m, options.min_subclasses)
+    assert pass_rules_1_2(m, options, [], state) is True
     assert m.entity(m.entity_id("S")).properties.keys() == {"a"}
 
 
 def test_pass_rules_1_2_no_generalizations():
     m = build_model({"A": ["a"], "B": ["a"]})
-    assert pass_rules_1_2(m, EngineOptions()) is False
+    options = EngineOptions()
+    state = engine._CoreState(m, options.min_subclasses)
+    assert pass_rules_1_2(m, options, [], state) is False
 
 
 def test_pass_rules_1_2_pulls_only_shared():
@@ -44,8 +48,9 @@ def test_pass_rules_1_2_pulls_only_shared():
         {"S": [], "A": ["a", "x"], "B": ["a", "y"], "C": ["a"]},
         edges=[("A", "S"), ("B", "S"), ("C", "S")],
     )
-    apps = []
-    assert pass_rules_1_2(m, EngineOptions(), apps) is True
+    options, apps = EngineOptions(), []
+    state = engine._CoreState(m, options.min_subclasses)
+    assert pass_rules_1_2(m, options, apps, state) is True
     assert [a.rule for a in apps] == [RuleKind.RULE1]
     assert m.entity(m.entity_id("S")).properties.keys() == {"a"}
     assert m.entity(m.entity_id("A")).properties.keys() == {"x"}
@@ -54,8 +59,9 @@ def test_pass_rules_1_2_pulls_only_shared():
 
 def test_pass_rule_3_right_example(right_model):
     m = right_model
-    apps = []
-    assert pass_rule_3(m, EngineOptions(), apps) is True
+    options, apps = EngineOptions(), []
+    state = engine._CoreState(m, options.min_subclasses)
+    assert pass_rule_3(m, options, apps, state) is True
     (app,) = apps
     assert app.rule is RuleKind.RULE3
     assert [k.prop_name for k in app.keys] == ["a", "b"]
@@ -65,12 +71,16 @@ def test_pass_rule_3_right_example(right_model):
 
 def test_pass_rule_3_nothing_shared():
     m = build_model({"A": ["a"], "B": ["b"]})
-    assert pass_rule_3(m, EngineOptions()) is False
+    options = EngineOptions()
+    state = engine._CoreState(m, options.min_subclasses)
+    assert pass_rule_3(m, options, [], state) is False
 
 
 def test_pass_rule_3_single_top_level():
     m = build_model({"A": ["a", "b"]})
-    assert pass_rule_3(m, EngineOptions()) is False
+    options = EngineOptions()
+    state = engine._CoreState(m, options.min_subclasses)
+    assert pass_rule_3(m, options, [], state) is False
 
 
 def test_restructure_left_example(left_model):
@@ -221,13 +231,13 @@ def test_clean_superclasses_are_not_ranked_again(monkeypatch):
 
     monkeypatch.setattr(engine, "shares_a_key", spy)
     state = engine._CoreState(m, 2)
-    assert pass_rules_1_2(m, EngineOptions(), None, state) is True  # rule 1 on R
+    assert pass_rules_1_2(m, EngineOptions(), [], state) is True  # rule 1 on R
     assert ranked == [["C", "D"]]  # S's subclasses share no key
     ranked.clear()
-    assert pass_rules_1_2(m, EngineOptions(), None, state) is False
+    assert pass_rules_1_2(m, EngineOptions(), [], state) is False
     assert ranked == [["C", "D"]]  # R's declarations changed, S's inputs did not
     ranked.clear()
-    assert pass_rules_1_2(m, EngineOptions(), None, state) is False
+    assert pass_rules_1_2(m, EngineOptions(), [], state) is False
     assert ranked == []
 
 

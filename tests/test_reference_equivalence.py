@@ -5,13 +5,16 @@ same rules in the same order: on generated corpora of every family, and on
 hypothesis-built shapes the generators never produce (several parents,
 diamonds, deep chains, synthesized classes in the input, originals named
 ``NewClass<k>``, superclasses declaring a name their subclasses share), on
-wide classes, on generated models below one root, and on stars whose
-superclasses declare the name their subclasses share, joined by diamonds.
+wide classes, on generated models below one root, on stars whose
+superclasses declare the name their subclasses share, joined by diamonds, and
+on deep chains with rule 2 firing below them.
 On those shapes every leaf also keeps its flattened properties, with and
 without the multiple-inheritance pass. The shapes run a second time with
 every child set of two or more classes ranked from a sharing index, which
 the engine otherwise keeps for large sets only, and keep their ids dense.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,6 +29,8 @@ from pullup.modelfile import load_model, save_model
 
 from conftest import build_model
 from large_shapes import (
+    comb,
+    deep_bottom,
     fanout_model,
     rooted_model,
     shadowed_diamond_model,
@@ -128,5 +133,17 @@ def test_wide_classes_match_reference(build, options):
 @pytest.mark.parametrize("options", OPTIONS)
 def test_shadowed_diamonds_match_reference(seed, options):
     model = shadowed_diamond_model(110, seed)
+    out = assert_keeps_leaves(model, options)
+    assert hierarchy_restriction_equal(model, out)
+
+
+# Kept small: the reference engine and hierarchy_restriction_equal take time
+# in proportion to size times depth on these shapes.
+@pytest.mark.parametrize(
+    "build", [partial(deep_bottom, 400, 100), partial(comb, 250)], ids=["deep_bottom", "comb"]
+)
+@pytest.mark.parametrize("options", OPTIONS)
+def test_deep_chains_match_reference(build, options):
+    model = build()
     out = assert_keeps_leaves(model, options)
     assert hierarchy_restriction_equal(model, out)
