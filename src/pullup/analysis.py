@@ -5,7 +5,7 @@ Ranking order (``rank_key``): larger owner sets first; among equal sizes,
 owner sets that occur more often among the per-key pairs first; ties broken
 canonically by sorted owner names. All keys with the same owner set form one
 candidate, in sorted key order. ``top_candidate`` finds the first candidate
-without ranking the others.
+of a class set, when two of its classes share it, without ranking the others.
 
 ``SharingIndex`` keeps the same ranking over one class set, the direct
 subclasses of a parent or the top-level classes, up to date as rules fire,
@@ -68,14 +68,31 @@ def common_props(model: ClassModel, classes: Iterable[int]) -> list[Candidate]:
 
 
 def top_candidate(model: ClassModel, classes: Iterable[int]) -> Optional[Candidate]:
-    """``common_props(model, classes)[0]`` without ranking every candidate;
-    ``None`` when ``classes`` declare nothing.
+    """``common_props(model, classes)[0]`` if ``classes`` hold one distinct
+    class or two of them share that candidate; otherwise ``None``.
 
+    Only a key that some class other than the widest declares can have two
+    owners, so the widest class's keys are never read, only probed by name.
     ``rank_key`` orders by owner count, then by key count, so the first
     candidate is among the groups largest by both; only those build the
     name tuple that breaks their tie.
     """
-    groups = _groups(model, classes)
+    ids = set(classes)
+    if len(ids) < 2:
+        groups = _groups(model, ids)
+    else:
+        wide = max(ids, key=lambda eid: len(model.entity(eid).properties))
+        ids.remove(wide)
+        owners_by_key: dict[PropKey, list[int]] = {}
+        for eid in ids:
+            for key in model.entity(eid).properties.values():
+                owners_by_key.setdefault(key, []).append(eid)
+        probe, groups = model.entity(wide).properties, {}
+        for key, owners in owners_by_key.items():
+            if probe.get(key.prop_name) == key:
+                owners.append(wide)
+            if len(owners) > 1:
+                groups.setdefault(frozenset(owners), []).append(key)
     if not groups:
         return None
     best = max((len(owners), len(keys)) for owners, keys in groups.items())
@@ -95,17 +112,6 @@ def sharing_classes(model: ClassModel) -> list[int]:
     if not shared:
         return []
     return [e.id for e in model.entities() if not shared.isdisjoint(e.properties.values())]
-
-
-def shares_a_key(model: ClassModel, classes: Iterable[int]) -> bool:
-    """Whether two of ``classes``, distinct ids, declare the same key."""
-    seen: set[PropKey] = set()
-    for eid in classes:
-        keys = model.entity(eid).properties.values()
-        if not seen.isdisjoint(keys):
-            return True
-        seen.update(keys)
-    return False
 
 
 class SharingIndex:

@@ -7,12 +7,14 @@ the first pass that fires nothing. The passes are incremental, yet fire
 exactly what re-ranking everything in every pass would:
 
 * A superclass whose rules-1/2 attempt fired nothing is not ranked again
-  until a firing changes one of that attempt's inputs: its own declarations,
-  its set of direct subclasses, or the declarations of one of them. Each
-  firing marks its sources and its target, and all direct superclasses of
-  each, as dirty. A sweep visits only dirty superclasses, in entity order:
-  one marked ahead of the sweep is still visited in it, one marked behind it
-  or created during it waits for the next pass.
+  until a firing can make it fire. A set whose members only lose keys still
+  fires nothing, except rule 1 blocked on an only child by a key name its
+  superclass declares too. So a firing marks its target and sources (their
+  own declarations changed), the target's direct superclasses, and each
+  superclass recorded as blocked on one of its sources. A sweep visits only
+  dirty superclasses, in entity order: one marked ahead of the sweep is
+  still visited in it, one marked behind it or created during it waits for
+  the next pass.
 * The first sweep starts with every entity dirty under ``min_subclasses=1``,
   where rule 1 may hoist from an only child. Otherwise every firing needs a
   key that two direct subclasses declare, so it starts with only the
@@ -40,13 +42,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Optional
 
-from .analysis import (
-    Candidate,
-    SharingIndex,
-    shares_a_key,
-    sharing_classes,
-    top_candidate,
-)
+from .analysis import Candidate, SharingIndex, sharing_classes, top_candidate
 from .errors import IterationLimitExceeded, RuleError
 from .metrics import MetricsSnapshot, snapshot
 from .model import ClassModel
@@ -77,9 +73,12 @@ class EngineOptions:
 class RestructureReport:
     applications: list[RuleApplication] = field(default_factory=list)
     iterations: int = 0
-    created_entities: frozenset[int] = frozenset()
     metrics_before: Optional[MetricsSnapshot] = None
     metrics_after: Optional[MetricsSnapshot] = None
+
+    @property
+    def created_entities(self) -> frozenset[int]:
+        return frozenset(a.created for a in self.applications if a.created is not None)
 
     @property
     def new_class_count(self) -> int:
@@ -87,9 +86,9 @@ class RestructureReport:
 
 
 class _CoreState:
-    """What the core passes remember between firings: the dirty entities
-    and the sharing index of each indexed class set, by parent (``None`` for
-    the top level).
+    """What the core passes remember between firings: the dirty entities,
+    the superclasses blocked on each only child, and the sharing index of
+    each indexed class set, by parent (``None`` for the top level).
 
     Ids are dense and in entity order (see :class:`~pullup.model.ClassModel`),
     so a sweep orders its worklist by id and the newest id is ``len(model)``.
@@ -97,9 +96,12 @@ class _CoreState:
 
     def __init__(self, model: ClassModel, min_subclasses: int) -> None:
         self.model = model
-        self.dirty: set[int] = (
-            set(model.entity_ids()) if min_subclasses < 2 else _sharing_parents(model)
-        )
+        if min_subclasses < 2:
+            self.dirty = set(model.entity_ids())
+        else:
+            parents = model.parent_map()
+            self.dirty = {p for eid in sharing_classes(model) for p in parents.get(eid, ())}
+        self.blocked: dict[int, set[int]] = {}
         self.indexes: dict[Optional[int], SharingIndex] = {}
         # The running sweep's worklist; ids in (cursor, limit] are ahead of it.
         self._queue: list[int] = []
@@ -128,8 +130,6 @@ class _CoreState:
         if parent is not None:
             subs = model.child_map()[parent]
             if len(subs) == 1 or (index is None and len(subs) < INDEXED_CHILDREN):
-                if len(subs) > 1 and not shares_a_key(model, subs):
-                    return None  # every rule needs a key two of them declare
                 return top_candidate(model, subs)
         elif not model.duplication_count:
             return None  # every key has one owner
@@ -138,33 +138,25 @@ class _CoreState:
         return index.top()
 
     def touch(self, app: RuleApplication) -> None:
-        """Mark what ``app`` changed and update the indexes of the sets it
-        changed: each changed entity's parents', or the top level's."""
-        parents = self.model.parent_map()
+        """Mark what ``app`` can make fire, and update the indexes of the
+        sets that hold an entity it changed."""
+        parents, indexes = self.model.parent_map(), self.indexes
         changed = {app.target, *app.sources}
-        sets = {sup for eid in changed for sup in parents.get(eid) or (None,)}
-        hit = changed | sets
-        hit.discard(None)
+        hit = changed.union(parents.get(app.target, ()))
+        if self.blocked:
+            for sid in app.sources:
+                hit.update(self.blocked.pop(sid, ()))
         for eid in hit:
             if eid not in self.dirty:
                 self.dirty.add(eid)
                 if self._cursor < eid <= self._limit:
                     heappush(self._queue, eid)
-        for parent in sets:
-            index = self.indexes.get(parent)
-            if index is not None:
-                index.update(changed)
-
-
-def _sharing_parents(model: ClassModel) -> set[int]:
-    """The superclasses of the entities that declare a duplicated key.
-
-    Unless rule 1 may hoist from an only child, a rules-1/2 attempt fires
-    only where two direct subclasses declare the same key, so these are the
-    only superclasses a first sweep can fire on.
-    """
-    parents = model.parent_map()
-    return {sup for eid in sharing_classes(model) for sup in parents.get(eid, ())}
+        sets, n = set(), len(indexes)
+        for eid in changed:  # walk the smaller side: its parents or the indexes
+            sups = parents.get(eid) or (None,)
+            sets.update(sups if len(sups) <= n else indexes.keys() & sups)
+        for parent in indexes.keys() & sets:
+            indexes[parent].update(changed)
 
 
 def _record(
@@ -206,6 +198,9 @@ def _attempt(
     decls = model.declared_property_count
     app = apply_shared_superclass_rule(model, parent, candidate, options.min_subclasses)
     if not _record(model, options, applications, app, decls):
+        if len(candidate.owners) == 1 and options.min_subclasses < 2:
+            (child,) = candidate.owners  # rule 1 blocked on an only child
+            state.blocked.setdefault(child, set()).add(parent)
         return False
     state.touch(app)
     return True
@@ -285,9 +280,6 @@ def _finish(
     return RestructureReport(
         applications=applications,
         iterations=iterations,
-        created_entities=frozenset(
-            a.created for a in applications if a.created is not None
-        ),
         metrics_before=before,
         # Every application is atomic: a run that fired nothing changed nothing.
         metrics_after=snapshot(model) if applications else before,

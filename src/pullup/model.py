@@ -72,6 +72,17 @@ class Entity:
         return set(self.properties.values())
 
 
+def _walk(edges: Mapping[int, AbstractSet[int]], start: int) -> Iterator[int]:
+    """Every entity reachable from ``start`` along ``edges``, once each."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+                yield nxt
+
+
 class ClassModel:
     """Root container of types, entities, and generalization edges.
 
@@ -227,10 +238,15 @@ class ClassModel:
             raise GeneralizationError(
                 f"duplicate generalization {e_sub.name} -> {e_sup.name}"
             )
-        if sub in self.ancestors(sup):
-            raise CycleError(
-                f"generalization {e_sub.name} -> {e_sup.name} would create a cycle"
-            )
+        # A cycle needs ``sub`` above ``sup`` already. Search up from ``sup``
+        # and down from ``sub`` in step: the first side to run out settles it,
+        # so extending a chain at either end walks nothing.
+        if self._parents.get(sup) and self._children.get(sub):
+            up, down = _walk(self._parents, sup), _walk(self._children, sub)
+            if any(above == sub or below == sup for above, below in zip(up, down)):
+                raise CycleError(
+                    f"generalization {e_sub.name} -> {e_sup.name} would create a cycle"
+                )
         self._link(sub, sup)
 
     def _link(self, sub: int, sup: int) -> None:
@@ -274,15 +290,7 @@ class ClassModel:
     def ancestors(self, eid: int) -> set[int]:
         """All transitive superclasses of ``eid`` (not including itself)."""
         self.entity(eid)
-        seen: set[int] = set()
-        stack = list(self._parents.get(eid, ()))
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._parents.get(cur, ()))
-        return seen
+        return set(_walk(self._parents, eid))
 
     def flattened_props(self, eid: int) -> set[PropKey]:
         """Own plus all transitively inherited property keys."""

@@ -164,3 +164,23 @@ def shadowed_diamond_model(p, seed):
                 model.add_generalization(eid, supers[-1])
         supers.append(s)
     return model
+
+
+def many_parents(p):
+    """A class ``X`` below ``P0 ... P<p-1>``, where every ``P<i>`` has a
+    second subclass ``Y<i>`` and ``X`` and ``Y<i>`` share ``k<i>:T``, a key
+    no other class declares: ``6 * p + 1`` elements. In the first pass each
+    ``P<i>`` fires once on ``{X, Y<i>}``, rule 1 under ``min_subclasses`` 1
+    or 2 and rule 2 under 3, so ``X`` is a member of ``p`` small sets that
+    each fire."""
+    model = ClassModel()
+    model.add_type("T")
+    x = model.add_entity("X")
+    for i in range(p):
+        key = PropKey(f"k{i}", "T")
+        sup, y = model.add_entity(f"P{i}"), model.add_entity(f"Y{i}")
+        model.add_property(x, key)
+        model.add_property(y, key)
+        model.add_generalization(x, sup)
+        model.add_generalization(y, sup)
+    return model

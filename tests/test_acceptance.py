@@ -23,6 +23,7 @@ from large_shapes import (
     comb,
     deep_bottom,
     fanout_model,
+    many_parents,
     rooted_model,
     shadowed_diamond_model,
     wide_model,
@@ -260,11 +261,12 @@ def test_criterion_8_diamond_lattice_load_performance():
     _passed(f"8 diamond-lattice load performance {result}")
 
 
-def _best_of_3_ladder(build, sizes, max_slope):
+def _best_of_3_ladder(build, sizes, max_slope, min_subclasses=2):
     """Restructure a ladder of ``build(size, seed)`` models ending at ~100k
     elements, each rung timed as the best of 3. ``max_slope`` must fail a
     quadratic, which 2.2, the other ladders' bound, lets pass."""
     pytest.importorskip("numpy")
+    options = EngineOptions(multi_inheritance=True, min_subclasses=min_subclasses)
     counts, times = [], []
     for size in sizes:
         model = build(size, seed=8)
@@ -272,7 +274,7 @@ def _best_of_3_ladder(build, sizes, max_slope):
         for _ in range(3):
             m = model.clone()
             start = time.perf_counter()
-            restructure(m, EngineOptions(multi_inheritance=True))
+            restructure(m, options)
             best = min(best, time.perf_counter() - start)
             assert m.duplication_count == 0
         counts.append(element_count(model))
@@ -319,6 +321,20 @@ def test_criterion_8_comb_performance():
         lambda depth, seed: comb(depth), (1563, 3125, 6250, 12500), max_slope=1.7
     )
     _passed(f"8 comb performance {result}")
+
+
+@pytest.mark.parametrize("min_subclasses", [1, 2])
+def test_criterion_8_many_parents_performance(min_subclasses):
+    # One class in every one of p two-class sets that fire: a set must be
+    # ranked without reading that class's p keys, and a firing must not walk
+    # its p parents.
+    result = _best_of_3_ladder(
+        lambda p, seed: many_parents(p),
+        (2000, 4000, 8000, 16000),
+        max_slope=1.7,
+        min_subclasses=min_subclasses,
+    )
+    _passed(f"8 many-parents min_subclasses={min_subclasses} performance {result}")
 
 
 @pytest.mark.parametrize("family", ["flat", "mixed"])

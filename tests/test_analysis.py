@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullup.analysis import (
+    Candidate,
     SharingIndex,
     common_props,
     rank_key,
-    shares_a_key,
     top_candidate,
 )
 from pullup.generate import Family, GeneratorSpec, generate_model
@@ -234,14 +234,22 @@ def test_sharing_index_ranks_by_current_frequency():
     assert names(m, index.top().owners) == ["C", "D"]
 
 
+def _first_if_shared(model, classes):
+    """``top_candidate``'s contract: the first candidate of the ranking when
+    the classes are one distinct class or two of them share it."""
+    ranking = common_props(model, classes)
+    if ranking and (len(set(classes)) == 1 or len(ranking[0].owners) > 1):
+        return ranking[0]
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(shapes(), st.data())
 def test_top_candidate_is_first_of_ranking(model, data):
     ids = model.entity_ids()
     subset = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids) + 2))
     for classes in (ids, subset):
-        ranking = common_props(model, classes)
-        assert top_candidate(model, classes) == (ranking[0] if ranking else None)
+        assert top_candidate(model, classes) == _first_if_shared(model, classes)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -249,15 +257,20 @@ def test_top_candidate_on_generated_models(family):
     m = generate_model(GeneratorSpec(family, 25, seed=6))
     groups = [m.entity_ids()] + [subs for subs in m.child_map().values() if subs]
     for classes in groups:
-        assert top_candidate(m, classes) == common_props(m, classes)[0]
+        assert top_candidate(m, classes) == _first_if_shared(m, classes)
 
 
-def test_shares_a_key_needs_name_and_type():
+def test_top_candidate_needs_name_and_type():
     m = build_model({"A": ["a:T"], "B": ["a:U", "b:T"], "C": ["b:T"]}, types=("T", "U"))
     a, b, c = m.entity_ids()
-    assert not shares_a_key(m, [a, b])
-    assert shares_a_key(m, [a, b, c])
-    assert not shares_a_key(m, [])
+    b_t = (PropKey("b", "T"),)
+    assert top_candidate(m, [a, b]) is None
+    assert top_candidate(m, [a, b, c]) == Candidate(b_t, frozenset({b, c}))
+    assert top_candidate(m, []) is None
+    # A class listed twice counts once: alone it offers all its keys, and it
+    # shares none with itself.
+    assert top_candidate(m, [c, c]) == Candidate(b_t, frozenset({c}))
+    assert top_candidate(m, [a, b, b]) is None
 
 
 def test_top_candidate_breaks_ties_by_names():

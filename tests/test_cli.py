@@ -11,7 +11,7 @@ from pullup.cli import main
 from pullup.modelfile import load_model, save_model
 
 from conftest import FIXTURES
-from large_shapes import deep_bottom, rooted_model
+from large_shapes import deep_bottom, many_parents, rooted_model, shadowed_diamond_model
 
 
 def test_restructure_left_with_metrics(tmp_path, capsys):
@@ -126,16 +126,22 @@ def test_module_invocation():
 def test_restructure_output_does_not_depend_on_the_hash_seed(tmp_path):
     # The rooted model's root and the 80 classes at the bottom of the deep
     # chain are ranked from a sharing index, whose updates iterate sets of
-    # string-hashed keys.
+    # string-hashed keys; the many-parents and shadowed-diamond models rank
+    # many small sets of shared keys from scratch.
     generated = tmp_path / "mixed.model"
     assert main(
         ["generate", "--family", "mixed", "--scale", "300", "--seed", "1", "-o", str(generated)]
     ) == 0
-    rooted = tmp_path / "rooted.model"
-    rooted.write_bytes(save_model(rooted_model("mixed", 300, seed=1)))
-    deep = tmp_path / "deep.model"
-    deep.write_bytes(save_model(deep_bottom(200, 40)))
-    for model in (generated, rooted, deep):
+    models = [generated]
+    for name, built in {
+        "rooted": rooted_model("mixed", 300, seed=1),
+        "deep": deep_bottom(200, 40),
+        "many_parents": many_parents(150),
+        "shadowed": shadowed_diamond_model(60, seed=1),
+    }.items():
+        models.append(tmp_path / f"{name}.model")
+        models[-1].write_bytes(save_model(built))
+    for model in models:
         outputs = []
         for seed in range(4):
             out = tmp_path / f"out{seed}.model"

@@ -223,13 +223,13 @@ def test_clean_superclasses_are_not_ranked_again(monkeypatch):
         edges=[("A", "S"), ("B", "S"), ("C", "R"), ("D", "R")],
     )
     ranked = []
-    real = engine.shares_a_key
+    real = engine.top_candidate
 
     def spy(model, classes):
         ranked.append(names(model, classes))
         return real(model, classes)
 
-    monkeypatch.setattr(engine, "shares_a_key", spy)
+    monkeypatch.setattr(engine, "top_candidate", spy)
     state = engine._CoreState(m, 2)
     assert pass_rules_1_2(m, EngineOptions(), [], state) is True  # rule 1 on R
     assert ranked == [["C", "D"]]  # S's subclasses share no key
@@ -267,6 +267,25 @@ def _assert_like_reference(model, options):
 
 
 @pytest.mark.parametrize("multi", [False, True])
+def test_a_source_losing_a_key_unblocks_rule_1_on_its_only_child(multi):
+    # Q's only child C declares a:U, a name Q declares too, so rule 1 on Q is
+    # blocked. Rule 2 on R then takes a:U from C and D, behind Q in the
+    # sweep, and in the next pass rule 1 hoists C's b:T into Q. Q is neither
+    # that firing's target nor the target's parent: only the record of Q's
+    # block marks Q again.
+    m = build_model(
+        {"Q": ["a:T"], "R": [], "C": ["a:U", "b:T"], "D": ["a:U"], "E": ["z:T"]},
+        edges=[("C", "Q"), ("C", "R"), ("D", "R"), ("E", "R")],
+        types=("T", "U"),
+    )
+    report = _assert_like_reference(
+        m, EngineOptions(multi_inheritance=multi, min_subclasses=1)
+    )
+    assert [a.rule for a in report.applications] == [RuleKind.RULE2, RuleKind.RULE1]
+    assert names(m, report.applications[1].sources) == ["C"]
+
+
+@pytest.mark.parametrize("multi", [False, True])
 def test_rule_3_index_is_built_once_and_serves_every_pass(monkeypatch, multi):
     options = EngineOptions(multi_inheritance=multi)
     indexes = []
@@ -291,14 +310,13 @@ def test_rules_1_2_climb_a_chain_without_scanning_the_top_level(monkeypatch):
     # no pass ranks it again.
     built = _count_index_builds(monkeypatch)
     widest = [0]
-    for name in ("shares_a_key", "top_candidate"):
-        real = getattr(engine, name)
+    real = engine.top_candidate
 
-        def spy(model, classes, real=real):
-            widest[0] = max(widest[0], len(classes))
-            return real(model, classes)
+    def spy(model, classes):
+        widest[0] = max(widest[0], len(classes))
+        return real(model, classes)
 
-        monkeypatch.setattr(engine, name, spy)
+    monkeypatch.setattr(engine, "top_candidate", spy)
     model = climbing_chain_model(2000, 5000)
     report = restructure(model, EngineOptions())
     assert report.iterations == 2001

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pullup.errors import (
     CycleError,
@@ -13,6 +17,7 @@ from pullup.model import ClassModel, Origin, PropKey
 from pullup.modelfile import save_model
 
 from conftest import build_model, names
+from shapes import shapes
 
 
 def test_well_formed_model_validates(left_model):
@@ -189,6 +194,36 @@ def test_add_generalization_and_errors():
         m.add_generalization(a, b)  # would close a cycle
     with pytest.raises(GeneralizationError):
         m.add_generalization(a, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes(), st.data())
+def test_add_generalization_refuses_exactly_the_edges_that_close_a_cycle(model, data):
+    ids = model.entity_ids()
+    for _ in range(5):
+        sub, sup = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        if sub == sup or model.has_generalization(sub, sup):
+            continue
+        if sub in model.ancestors(sup):
+            with pytest.raises(CycleError, match="would create a cycle"):
+                model.add_generalization(sub, sup)
+        else:
+            model.add_generalization(sub, sup)
+        assert model.validate() == []
+
+
+@pytest.mark.parametrize("top_down", [True, False])
+def test_add_generalization_builds_a_long_chain_in_linear_time(top_down):
+    m = ClassModel()
+    chain = [m.add_entity(f"C{i}") for i in range(20_000)]
+    links = range(1, len(chain)) if top_down else range(len(chain) - 1, 0, -1)
+    start = time.perf_counter()
+    for i in links:
+        m.add_generalization(chain[i], chain[i - 1])
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(CycleError, match="C0 -> C19999 would create a cycle"):
+        m.add_generalization(chain[0], chain[-1])
+    assert m.ancestors(chain[-1]) == set(chain[:-1])
 
 
 def test_delete_generalization():

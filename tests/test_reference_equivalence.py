@@ -6,8 +6,9 @@ hypothesis-built shapes the generators never produce (several parents,
 diamonds, deep chains, synthesized classes in the input, originals named
 ``NewClass<k>``, superclasses declaring a name their subclasses share), on
 wide classes, on generated models below one root, on stars whose
-superclasses declare the name their subclasses share, joined by diamonds, and
-on deep chains with rule 2 firing below them.
+superclasses declare the name their subclasses share, joined by diamonds, on
+deep chains with rule 2 firing below them, and on one class below many
+parents.
 On those shapes every leaf also keeps its flattened properties, with and
 without the multiple-inheritance pass. The shapes run a second time with
 every child set of two or more classes ranked from a sharing index, which
@@ -32,6 +33,7 @@ from large_shapes import (
     comb,
     deep_bottom,
     fanout_model,
+    many_parents,
     rooted_model,
     shadowed_diamond_model,
     wide_model,
@@ -145,5 +147,12 @@ def test_shadowed_diamonds_match_reference(seed, options):
 @pytest.mark.parametrize("options", OPTIONS)
 def test_deep_chains_match_reference(build, options):
     model = build()
+    out = assert_keeps_leaves(model, options)
+    assert hierarchy_restriction_equal(model, out)
+
+
+@pytest.mark.parametrize("options", OPTIONS)
+def test_many_parents_match_reference(options):
+    model = many_parents(250)
     out = assert_keeps_leaves(model, options)
     assert hierarchy_restriction_equal(model, out)
