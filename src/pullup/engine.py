@@ -86,17 +86,21 @@ class RestructureReport:
 
 
 class _CoreState:
-    """What the core passes remember between firings: the dirty entities,
-    the superclasses blocked on each only child, and the sharing index of
-    each indexed class set, by parent (``None`` for the top level).
+    """One run of the core fixpoint: the model and options, the applications
+    recorded so far, and what the passes remember between firings: the dirty
+    entities, the superclasses blocked on each only child, and the sharing
+    index of each indexed class set, by parent (``None`` for the top level).
 
     Ids are dense and in entity order (see :class:`~pullup.model.ClassModel`),
     so a sweep orders its worklist by id and the newest id is ``len(model)``.
     """
 
-    def __init__(self, model: ClassModel, min_subclasses: int) -> None:
+    def __init__(self, model: ClassModel, options: EngineOptions) -> None:
         self.model = model
-        if min_subclasses < 2:
+        self.options = options
+        self.applications: list[RuleApplication] = []
+        self._decls = model.declared_property_count  # at the last record
+        if options.min_subclasses < 2:
             self.dirty = set(model.entity_ids())
         else:
             parents = model.parent_map()
@@ -106,6 +110,43 @@ class _CoreState:
         # The running sweep's worklist; ids in (cursor, limit] are ahead of it.
         self._queue: list[int] = []
         self._cursor = self._limit = 0
+
+    def record(self, app: RuleApplication) -> None:
+        """Log and append ``app`` right after it changed the model. Under
+        ``min_subclasses`` >= 2 the declarations must have fallen since the
+        last record; every application is atomic, so an attempt that fired
+        nothing in between changed none."""
+        model, decls = self.model, self.model.declared_property_count
+        if self.options.min_subclasses >= 2 and decls >= self._decls:
+            # Termination potential: every firing must remove declarations.
+            raise RuleError(f"rule application did not decrease declarations: {app}")
+        self._decls = decls
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "%s keys=%s sources=%s target=%s",
+                app.rule.value,
+                [k.prop_name for k in app.keys],
+                sorted(model.entity(s).name for s in app.sources),
+                model.entity(app.target).name,
+            )
+        self.applications.append(app)
+
+    def attempt(self, parent: Optional[int]) -> bool:
+        """Fire the top candidate among the direct subclasses of ``parent``
+        (the top-level classes when it is ``None``), if it calls for a rule."""
+        candidate = self.top(parent)
+        if candidate is None:
+            return False
+        min_subclasses = self.options.min_subclasses
+        app = apply_shared_superclass_rule(self.model, parent, candidate, min_subclasses)
+        if app is None:
+            if len(candidate.owners) == 1 and min_subclasses < 2:
+                (child,) = candidate.owners  # rule 1 blocked on an only child
+                self.blocked.setdefault(child, set()).add(parent)
+            return False
+        self.record(app)
+        self.touch(app)
+        return True
 
     def sweep(self) -> Iterator[int]:
         """Yield the dirty entities that exist now, in entity order, each
@@ -159,77 +200,20 @@ class _CoreState:
             indexes[parent].update(changed)
 
 
-def _record(
-    model: ClassModel,
-    options: EngineOptions,
-    applications: list[RuleApplication],
-    app: Optional[RuleApplication],
-    decls_before: int,
-) -> bool:
-    if app is None:
-        return False
-    if options.min_subclasses >= 2 and model.declared_property_count >= decls_before:
-        # Termination potential: every firing must remove declarations.
-        raise RuleError(f"rule application did not decrease declarations: {app}")
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "%s keys=%s sources=%s target=%s",
-            app.rule.value,
-            [k.prop_name for k in app.keys],
-            sorted(model.entity(s).name for s in app.sources),
-            model.entity(app.target).name,
-        )
-    applications.append(app)
-    return True
-
-
-def _attempt(
-    model: ClassModel,
-    options: EngineOptions,
-    applications: list[RuleApplication],
-    state: _CoreState,
-    parent: Optional[int],
-) -> bool:
-    """Fire the top candidate among the direct subclasses of ``parent`` (the
-    top-level classes when it is ``None``), if it calls for a rule."""
-    candidate = state.top(parent)
-    if candidate is None:
-        return False
-    decls = model.declared_property_count
-    app = apply_shared_superclass_rule(model, parent, candidate, options.min_subclasses)
-    if not _record(model, options, applications, app, decls):
-        if len(candidate.owners) == 1 and options.min_subclasses < 2:
-            (child,) = candidate.owners  # rule 1 blocked on an only child
-            state.blocked.setdefault(child, set()).add(parent)
-        return False
-    state.touch(app)
-    return True
-
-
-def pass_rules_1_2(
-    model: ClassModel,
-    options: EngineOptions,
-    applications: list[RuleApplication],
-    state: _CoreState,
-) -> bool:
+def pass_rules_1_2(state: _CoreState) -> bool:
     """One sweep of rules 1 and 2 over the superclasses ``state`` marks
     dirty, in entity order. Entities created mid-pass wait for the next pass."""
     applied = False
-    children = model.child_map()
+    children = state.model.child_map()
     for eid in state.sweep():
-        if children.get(eid) and _attempt(model, options, applications, state, eid):
+        if children.get(eid) and state.attempt(eid):
             applied = True
     return applied
 
 
-def pass_rule_3(
-    model: ClassModel,
-    options: EngineOptions,
-    applications: list[RuleApplication],
-    state: _CoreState,
-) -> bool:
+def pass_rule_3(state: _CoreState) -> bool:
     """One rule-3 attempt over the current top-level classes."""
-    return _attempt(model, options, applications, state, None)
+    return state.attempt(None)
 
 
 def restructure(
@@ -244,31 +228,27 @@ def restructure(
     options = options or EngineOptions()
     if options.min_subclasses < 1:
         raise RuleError("min_subclasses must be >= 1")
+    if options.max_iterations is not None and options.max_iterations < 1:
+        raise RuleError("max_iterations must be >= 1")
     before = snapshot(model)
-    applications: list[RuleApplication] = []
-    state = _CoreState(model, options.min_subclasses)
+    state = _CoreState(model, options)
     iterations = 0
     while True:
-        r12 = pass_rules_1_2(model, options, applications, state)
-        r3 = pass_rule_3(model, options, applications, state)
+        r12 = pass_rules_1_2(state)
+        r3 = pass_rule_3(state)
         iterations += 1
         if not (r12 or r3):
             break
-        if options.max_iterations is not None and iterations >= options.max_iterations:
-            report = _finish(model, before, applications, iterations)
+        if iterations == options.max_iterations:
+            report = _finish(model, before, state.applications, iterations)
             raise IterationLimitExceeded(
                 f"no fixpoint after {iterations} iterations", report=report
             )
-    del state  # free the sharing indexes before the multiple-inheritance pass
+    # Free the marks and sharing indexes before the multiple-inheritance pass.
+    del state.dirty, state.blocked, state.indexes
     if options.multi_inheritance:
-        last = [model.declared_property_count]
-
-        def on_apply(app: RuleApplication) -> None:
-            _record(model, options, applications, app, last[0])
-            last[0] = model.declared_property_count
-
-        exploit_multiple_inheritance(model, on_apply=on_apply)
-    return _finish(model, before, applications, iterations)
+        exploit_multiple_inheritance(model, on_apply=state.record)
+    return _finish(model, before, state.applications, iterations)
 
 
 def _finish(

@@ -33,8 +33,8 @@ from .errors import (
 )
 
 # Names double as tokens in the text model format, so no whitespace and no
-# comment character.
-_NAME_RE = re.compile(r"[^\s#]+")
+# comment character; and no lone surrogate, which UTF-8 cannot encode.
+_NAME_RE = re.compile(r"[^\s#\ud800-\udfff]+")
 
 
 def _check_name(name: str, what: str) -> str:
@@ -413,10 +413,10 @@ class ModelBuilder:
     declared later.
 
     Names are not matched against ``_NAME_RE`` again: the loader passes only
-    tokens that ``str.split`` returned from a line without its ``#`` comment,
-    and every such token matches. Anything else that is wrong goes to the
-    checked :class:`ClassModel` primitive, which raises the error it always
-    raises.
+    tokens that ``str.split`` returned from a line of decoded UTF-8 without
+    its ``#`` comment, and every such token matches. Anything else that is
+    wrong goes to the checked :class:`ClassModel` primitive, which raises the
+    error it always raises.
     """
 
     def __init__(self) -> None:

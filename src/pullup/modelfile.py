@@ -49,20 +49,20 @@ def save_model(model: ClassModel) -> bytes:
 
 
 def load_model(data: bytes | str) -> ClassModel:
-    """Parse document bytes into a validated :class:`ClassModel`.
+    """Parse document bytes into a validated :class:`ClassModel`. A ``str``
+    is read as its UTF-8 encoding, so a lone surrogate is invalid UTF-8.
 
     Errors carry the 1-based line number of the offending directive. Forward
     references in ``super`` lines are allowed; everything else must be
     declared before use. A document that loads does so in time linear in
     its size.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelSyntaxError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(f"not valid UTF-8: {exc}") from None
 
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:

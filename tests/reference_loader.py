@@ -15,13 +15,12 @@ from pullup.modelfile import _HEADER
 
 
 def reference_load(data: bytes | str) -> ClassModel:
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelSyntaxError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(f"not valid UTF-8: {exc}") from None
 
     model = ClassModel()
     current: int | None = None

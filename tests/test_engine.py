@@ -30,17 +30,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_pass_rules_1_2_single_rule1_firing():
     m = build_model({"S": [], "A": ["a"], "B": ["a"]}, edges=[("A", "S"), ("B", "S")])
-    options = EngineOptions()
-    state = engine._CoreState(m, options.min_subclasses)
-    assert pass_rules_1_2(m, options, [], state) is True
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rules_1_2(state) is True
     assert m.entity(m.entity_id("S")).properties.keys() == {"a"}
 
 
 def test_pass_rules_1_2_no_generalizations():
     m = build_model({"A": ["a"], "B": ["a"]})
-    options = EngineOptions()
-    state = engine._CoreState(m, options.min_subclasses)
-    assert pass_rules_1_2(m, options, [], state) is False
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rules_1_2(state) is False
 
 
 def test_pass_rules_1_2_pulls_only_shared():
@@ -48,10 +46,9 @@ def test_pass_rules_1_2_pulls_only_shared():
         {"S": [], "A": ["a", "x"], "B": ["a", "y"], "C": ["a"]},
         edges=[("A", "S"), ("B", "S"), ("C", "S")],
     )
-    options, apps = EngineOptions(), []
-    state = engine._CoreState(m, options.min_subclasses)
-    assert pass_rules_1_2(m, options, apps, state) is True
-    assert [a.rule for a in apps] == [RuleKind.RULE1]
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rules_1_2(state) is True
+    assert [a.rule for a in state.applications] == [RuleKind.RULE1]
     assert m.entity(m.entity_id("S")).properties.keys() == {"a"}
     assert m.entity(m.entity_id("A")).properties.keys() == {"x"}
     assert m.entity(m.entity_id("B")).properties.keys() == {"y"}
@@ -59,10 +56,9 @@ def test_pass_rules_1_2_pulls_only_shared():
 
 def test_pass_rule_3_right_example(right_model):
     m = right_model
-    options, apps = EngineOptions(), []
-    state = engine._CoreState(m, options.min_subclasses)
-    assert pass_rule_3(m, options, apps, state) is True
-    (app,) = apps
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rule_3(state) is True
+    (app,) = state.applications
     assert app.rule is RuleKind.RULE3
     assert [k.prop_name for k in app.keys] == ["a", "b"]
     assert names(m, app.sources) == ["P", "Q"]
@@ -71,16 +67,14 @@ def test_pass_rule_3_right_example(right_model):
 
 def test_pass_rule_3_nothing_shared():
     m = build_model({"A": ["a"], "B": ["b"]})
-    options = EngineOptions()
-    state = engine._CoreState(m, options.min_subclasses)
-    assert pass_rule_3(m, options, [], state) is False
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rule_3(state) is False
 
 
 def test_pass_rule_3_single_top_level():
     m = build_model({"A": ["a", "b"]})
-    options = EngineOptions()
-    state = engine._CoreState(m, options.min_subclasses)
-    assert pass_rule_3(m, options, [], state) is False
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rule_3(state) is False
 
 
 def test_restructure_left_example(left_model):
@@ -217,6 +211,14 @@ def test_restructure_rejects_min_subclasses_below_one(left_model):
     assert save_model(left_model) == save_model(before)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_restructure_rejects_max_iterations_below_one(left_model, limit):
+    before = left_model.clone()
+    with pytest.raises(RuleError, match="max_iterations must be >= 1"):
+        restructure(left_model, EngineOptions(max_iterations=limit))
+    assert save_model(left_model) == save_model(before)
+
+
 def test_clean_superclasses_are_not_ranked_again(monkeypatch):
     m = build_model(
         {"S": [], "A": ["a"], "B": ["b"], "R": [], "C": ["c"], "D": ["c"]},
@@ -230,14 +232,14 @@ def test_clean_superclasses_are_not_ranked_again(monkeypatch):
         return real(model, classes)
 
     monkeypatch.setattr(engine, "top_candidate", spy)
-    state = engine._CoreState(m, 2)
-    assert pass_rules_1_2(m, EngineOptions(), [], state) is True  # rule 1 on R
+    state = engine._CoreState(m, EngineOptions())
+    assert pass_rules_1_2(state) is True  # rule 1 on R
     assert ranked == [["C", "D"]]  # S's subclasses share no key
     ranked.clear()
-    assert pass_rules_1_2(m, EngineOptions(), [], state) is False
+    assert pass_rules_1_2(state) is False
     assert ranked == [["C", "D"]]  # R's declarations changed, S's inputs did not
     ranked.clear()
-    assert pass_rules_1_2(m, EngineOptions(), [], state) is False
+    assert pass_rules_1_2(state) is False
     assert ranked == []
 
 
@@ -425,6 +427,31 @@ def test_termination_guard_raises_rule_error(monkeypatch, left_model):
         restructure(left_model, EngineOptions(max_iterations=3))
 
 
+def test_termination_guard_covers_the_multiple_inheritance_pass(monkeypatch):
+    # A and B share a below different parents: only the extension fires.
+    m = build_model(
+        {"S1": [], "S2": [], "A": ["a"], "B": ["a"], "X": ["x"], "Y": ["y"]},
+        edges=[("A", "S1"), ("X", "S1"), ("B", "S2"), ("Y", "S2")],
+    )
+    real = engine.exploit_multiple_inheritance
+    fired = []
+
+    def repeat_last(model, on_apply):
+        # The real pass, then its last firing reported again, which removes
+        # no declaration.
+        def both(app):
+            on_apply(app)
+            fired.append(app)
+
+        real(model, both)
+        on_apply(fired[-1])
+
+    monkeypatch.setattr(engine, "exploit_multiple_inheritance", repeat_last)
+    with pytest.raises(RuleError, match="did not decrease"):
+        restructure(m, EngineOptions(multi_inheritance=True))
+    assert [a.rule for a in fired] == [RuleKind.MULTI_INHERIT_NEW]
+
+
 _GUARD_UNDER_O = """
 assert not __debug__
 from pullup import engine
@@ -444,29 +471,41 @@ def model():
             m.add_generalization(eid, sup)
     return m
 
-real = engine.apply_shared_superclass_rule
+real_rule = engine.apply_shared_superclass_rule
 
 def idle_at(top_level):
     # Reports a firing at one level without removing any declaration.
     def idle(model, super_id, candidate, min_subclasses):
         if (super_id is None) != top_level:
-            return real(model, super_id, candidate, min_subclasses)
+            return real_rule(model, super_id, candidate, min_subclasses)
         kind, target = (
             (RuleKind.RULE3, min(candidate.owners)) if top_level else (RuleKind.RULE1, super_id)
         )
         return RuleApplication(kind, candidate.keys, candidate.owners, target)
     return idle
 
-for top_level in (False, True):
-    engine.apply_shared_superclass_rule = idle_at(top_level)
+def idle_pass(model, on_apply):
+    # A multiple-inheritance pass that reports a firing and changes nothing.
+    target = min(model.entity_ids())
+    on_apply(RuleApplication(RuleKind.MULTI_INHERIT_REUSE, (), frozenset(), target))
+
+core, extension = EngineOptions(max_iterations=3), EngineOptions(multi_inheritance=True)
+cases = (
+    ("rules 1/2", "apply_shared_superclass_rule", idle_at(False), core),
+    ("rule 3", "apply_shared_superclass_rule", idle_at(True), core),
+    ("multiple inheritance", "exploit_multiple_inheritance", idle_pass, extension),
+)
+for case, name, stand_in, options in cases:
+    real = getattr(engine, name)
+    setattr(engine, name, stand_in)
     try:
-        engine.restructure(model(), EngineOptions(max_iterations=3))
+        engine.restructure(model(), options)
     except RuleError as exc:
         assert "did not decrease" in str(exc), exc
     else:
-        raise SystemExit(f"top_level={top_level}: the guard did not fire")
+        raise SystemExit(f"{case}: the guard did not fire")
     finally:
-        engine.apply_shared_superclass_rule = real
+        setattr(engine, name, real)
 print("guard ok")
 """
 

@@ -220,16 +220,14 @@ def test_owner_count_matches_a_recount(model, edits, unbuilt, options):
         edit(*args)
         _assert_counts(model)
 
-    real = engine._record
+    real = engine._CoreState.record
 
-    def checked(*args):
-        fired = real(*args)
-        if fired:
-            _assert_counts(model)
-        return fired
+    def checked(state, app):
+        real(state, app)
+        _assert_counts(model)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_record", checked)
+        mp.setattr(engine._CoreState, "record", checked)
         restructure(model, options)
     _assert_counts(model)
 

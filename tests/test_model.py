@@ -328,6 +328,8 @@ def test_names_must_be_tokens():
         m.add_type("bad name")
     with pytest.raises(InvalidNameError):
         m.add_entity("")
+    with pytest.raises(InvalidNameError):
+        m.add_type("T\udfff")  # a lone surrogate: save_model could not encode it
     m.add_type("T")
     e = m.add_entity("E")
     with pytest.raises(InvalidNameError):

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pullup.engine import EngineOptions, restructure
@@ -143,10 +143,20 @@ SPLITTERS = [chr(c) for c in range(0x110000) if chr(c).isspace()]
     )
 )
 def test_tokens_of_a_comment_free_line_are_names(text):
-    # The loader relies on this instead of matching each token again.
+    # The loader relies on this instead of matching each token again. It
+    # splits only text decoded from UTF-8, which holds no lone surrogate.
+    assume(not any("\ud800" <= c <= "\udfff" for c in text))
     for line in text.splitlines():
         for token in line.partition("#")[0].split():
             assert _NAME_RE.fullmatch(token)
+
+
+def test_a_lone_surrogate_is_not_valid_utf8():
+    # No name may hold one: save_model could not encode it.
+    doc = "classmodel v1\ntype T\nentity A\ud800\n  prop x T\n"
+    for load in (load_model, reference_load):
+        with pytest.raises(ModelSyntaxError, match="not valid UTF-8"):
+            load(doc)
 
 
 def _outcome(load, data):
@@ -175,7 +185,7 @@ def _assert_loads_like_reference(data):
 VOCABULARY = [
     "classmodel", "v1", "type", "entity", "prop", "super", "synthesized",
     "T", "U", "A", "B", "E1", "E2", "NewClass1", "a", "b", "#", " ", "\t",
-    "\u3000", "\x85", "\u2028", "\r", "\x00", "\xe9",
+    "\u3000", "\x85", "\u2028", "\r", "\x00", "\xe9", "\ud800",
 ]
 
 
