@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ModelError
+from .errors import CycleError, ModelError
 from .model import ClassModel, Origin
 
 
@@ -25,22 +25,12 @@ class MetricsSnapshot:
 
 
 def max_inheritance_depth(model: ClassModel) -> int:
-    """Length of the longest generalization chain (0 for a flat model): the
-    number of layers, less one, of a Kahn layering from the roots, in which
-    a class joins the layer after the last of its superclasses."""
-    parents, children = model.parent_map(), model.child_map()
-    waiting = {eid: len(sups) for eid, sups in parents.items() if sups}
-    layer = [eid for eid in model.entity_ids() if eid not in waiting]
-    depth = -1
-    while layer:
-        depth, below = depth + 1, []
-        for eid in layer:
-            for sub in children.get(eid, ()):
-                waiting[sub] -= 1
-                if not waiting[sub]:
-                    below.append(sub)
-        layer = below
-    return max(depth, 0)
+    """Length of the longest generalization chain (0 for a flat model), which
+    the model keeps from its last Kahn peel (the loader's cycle check runs
+    one) until an edge changes. ``CycleError`` on a cyclic hierarchy."""
+    if model._depth is None and model._peel():
+        raise CycleError("generalization cycle; validate() names its classes")
+    return model._depth
 
 
 def top_level_count(model: ClassModel) -> int:

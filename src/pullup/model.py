@@ -7,7 +7,7 @@ The public mutations check their preconditions and leave the model untouched
 on failure; ``ClassModel._link``, the one unchecked writer (of an edge), is
 for callers that have checked already. :meth:`ClassModel.validate` re-checks
 every invariant from the data itself. :class:`ModelBuilder` fills a fresh
-model from a document's tokens for the loader.
+model for the loader, whose cycle check yields the depth the model keeps.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ class ClassModel:
         # Owners per declared key, built on first use, then kept by
         # add_property and delete_property; a key with no owner is absent.
         self._owner_count: Optional[Counter[PropKey]] = None
+        self._depth: Optional[int] = None  # the longest chain, until an edge changes
 
     # -- types ------------------------------------------------------------
 
@@ -253,6 +254,7 @@ class ClassModel:
         """Write ``sub -> sup`` into both maps, unchecked; a second write is a no-op."""
         self._parents.setdefault(sub, set()).add(sup)
         self._children.setdefault(sup, set()).add(sub)
+        self._depth = None
 
     def delete_generalization(self, sub: int, sup: int) -> None:
         if not self.has_generalization(sub, sup):
@@ -261,6 +263,7 @@ class ClassModel:
             )
         self._parents[sub].discard(sup)
         self._children[sup].discard(sub)
+        self._depth = None
 
     def has_generalization(self, sub: int, sup: int) -> bool:
         return sup in self._parents.get(sub, ())
@@ -349,32 +352,36 @@ class ClassModel:
         for sub, sup in sorted(edges ^ mirrored):
             side = "parent" if (sub, sup) in edges else "child"
             violations.append(f"generalization ({sub} -> {sup}) is only in the {side} map")
-        cycle = self._cycle_members()
-        if cycle:
-            names = ", ".join(sorted(self._entities[i].name for i in cycle))
+        kept, stuck = self._depth, self._peel()
+        if stuck:
+            names = ", ".join(sorted(self._entities[i].name for i in stuck))
             violations.append(f"generalization cycle through {names}")
+        elif kept not in (None, self._depth):
+            violations.append(f"kept depth reads {kept}, the longest chain is {self._depth}")
+        self._depth = kept  # a check changes nothing
         return violations
 
-    def _cycle_members(self) -> set[int]:
-        # Kahn's algorithm over the specific->general digraph; whatever
-        # cannot be peeled off lies on or behind a directed cycle.
-        indeg = dict.fromkeys(self._entities, 0)
-        for sub, sups in self._parents.items():
-            if sub in indeg:
-                for sup in sups:
-                    if sup in indeg and sup != sub:
-                        indeg[sup] += 1
-        queue = [eid for eid, d in indeg.items() if d == 0]
-        remaining = set(indeg)
-        while queue:
-            cur = queue.pop()
-            remaining.discard(cur)
-            for sup in self._parents.get(cur, ()):
-                if sup in remaining:
-                    indeg[sup] -= 1
-                    if indeg[sup] == 0:
-                        queue.append(sup)
-        return remaining
+    def _peel(self) -> set[int]:
+        """Kahn's peel from the leaves up, a layer at a time (a class leaves once
+        its subclasses have): the classes on or behind a cycle. Keep the layer
+        count less one, the longest chain, as the depth; None on a cycle."""
+        entities, parents = self._entities, self._parents
+        waiting = dict.fromkeys(entities, 0)  # subclasses yet to leave
+        waiting.update(Counter(sup for sub, sups in parents.items() if sub in entities
+                               for sup in sups if sup in entities and sup != sub))
+        layer, depth = [eid for eid, n in waiting.items() if not n], -1
+        while layer:
+            depth, above = depth + 1, []
+            for eid in layer:
+                del waiting[eid]
+                for sup in parents.get(eid, ()):
+                    if sup in waiting:
+                        n = waiting[sup] = waiting[sup] - 1
+                        if not n:
+                            above.append(sup)
+            layer = above
+        self._depth = None if waiting else max(depth, 0)
+        return set(waiting)
 
     # -- copying ----------------------------------------------------------
 
@@ -391,6 +398,7 @@ class ClassModel:
         new._children = {eid: set(subs) for eid, subs in self._children.items()}
         new._newclass_cursor = self._newclass_cursor
         new._decl_count = self._decl_count
+        new._depth = self._depth
         return new
 
     def __repr__(self) -> str:
@@ -471,6 +479,7 @@ class ModelBuilder:
             self or duplicate one; return how many there are."""
             parents.clear()
             children.clear()
+            model._depth = None
             for good, (sub, name, _) in enumerate(noted):
                 sup = by_name.get(name)
                 if sup is None or sup == sub or sup in parents.get(sub, ()):
@@ -480,13 +489,13 @@ class ModelBuilder:
 
         supers = self._supers
         good = link(supers)
-        if good == len(supers) and not model._cycle_members():
+        if good == len(supers) and not model._peel():
             return model
         # The edge at fault is the last of the shortest prefix that holds a
         # cycle, if a prefix of the good edges does, else the first bad edge.
         def cyclic(count: int) -> bool:
             link(supers[:count])
-            return bool(model._cycle_members())
+            return bool(model._peel())
 
         fault = bisect_left(range(good + 1), True, key=cyclic) - 1
         link(supers[:fault])

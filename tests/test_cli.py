@@ -11,7 +11,15 @@ from pullup.cli import main
 from pullup.modelfile import load_model, save_model
 
 from conftest import FIXTURES
-from large_shapes import deep_bottom, many_parents, rooted_model, shadowed_diamond_model
+from large_shapes import (
+    comb,
+    deep_bottom,
+    fanout_model,
+    many_parents,
+    rooted_model,
+    shadowed_diamond_model,
+    wide_model,
+)
 
 
 def test_restructure_left_with_metrics(tmp_path, capsys):
@@ -127,7 +135,9 @@ def test_restructure_output_does_not_depend_on_the_hash_seed(tmp_path):
     # The rooted model's root and the 80 classes at the bottom of the deep
     # chain are ranked from a sharing index, whose updates iterate sets of
     # string-hashed keys; the many-parents and shadowed-diamond models rank
-    # many small sets of shared keys from scratch.
+    # many small sets of shared keys from scratch. The wide and fan-out models
+    # move and probe thousands of keys of one class, and the comb fires rule 2
+    # below every class of a chain in one pass.
     generated = tmp_path / "mixed.model"
     assert main(
         ["generate", "--family", "mixed", "--scale", "300", "--seed", "1", "-o", str(generated)]
@@ -138,6 +148,9 @@ def test_restructure_output_does_not_depend_on_the_hash_seed(tmp_path):
         "deep": deep_bottom(200, 40),
         "many_parents": many_parents(150),
         "shadowed": shadowed_diamond_model(60, seed=1),
+        "wide": wide_model(1000, seed=1),
+        "fanout": fanout_model(1000, seed=1),
+        "comb": comb(300),
     }.items():
         models.append(tmp_path / f"{name}.model")
         models[-1].write_bytes(save_model(built))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pullup import engine
 from pullup.engine import EngineOptions, restructure
-from pullup.errors import ModelError
+from pullup.errors import CycleError, GeneralizationError, ModelError
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import (
     effectiveness,
@@ -136,6 +136,10 @@ def naive_snapshot(model):
     )
 
 
+_OPTION_SETS = [EngineOptions(multi_inheritance=multi, min_subclasses=k)
+                for multi in (False, True) for k in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_snapshot_matches_naive_count_on_generated_models(family):
     for scale, seed in ((1, 1), (12, 2), (40, 3)):
@@ -151,10 +155,7 @@ def test_snapshot_matches_naive_count_on_generated_models(family):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     model=shapes(),
-    options=st.sampled_from(
-        [EngineOptions(multi_inheritance=multi, min_subclasses=k)
-         for multi in (False, True) for k in (1, 2, 3)]
-    ),
+    options=st.sampled_from(_OPTION_SETS),
 )
 def test_snapshot_matches_naive_count_on_awkward_shapes(model, options):
     before = naive_snapshot(model)
@@ -273,3 +274,62 @@ def test_depth_of_wide_and_diamond_lattices_matches_naive():
     ragged = load_model(_layered_document([5, 3, 4, 1, 6], full=False))
     assert astuple(snapshot(ragged)) == naive_snapshot(ragged)
     assert max_inheritance_depth(ragged) == 4
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=shapes(), data=st.data())
+def test_kept_depth_follows_every_public_edit(model, data):
+    """The depth a model keeps after a snapshot is dropped by every edit that
+    changes an edge, and carried by a copy and a load."""
+    steps = ["link", "unlink", "entity", "clone", "reload", "restructure"]
+    for step in data.draw(st.lists(st.sampled_from(steps), min_size=1, max_size=10)):
+        ids = model.entity_ids()
+        if step == "link":
+            sub, sup = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+            try:
+                model.add_generalization(sub, sup)
+            except GeneralizationError:  # a self, duplicate or cycle-closing edge
+                pass
+        elif step == "unlink":
+            edges = sorted(model.generalizations())
+            if edges:
+                model.delete_generalization(*data.draw(st.sampled_from(edges)))
+        elif step == "entity":
+            model.add_entity(f"Added{len(model)}")
+        elif step == "clone":
+            model = model.clone()
+        elif step == "reload":
+            model = load_model(save_model(model))
+        else:
+            restructure(model, data.draw(st.sampled_from(_OPTION_SETS)))
+        assert astuple(snapshot(model)) == naive_snapshot(model)
+        assert model.validate() == []
+
+
+def test_depth_of_a_cyclic_hierarchy_is_a_cycle_error():
+    m = build_model({"A": [], "B": [], "C": []}, edges=[("B", "A"), ("C", "B")])
+    a, b = m.entity_id("A"), m.entity_id("B")
+    # A cycle the checked mutators refuse, written straight into the maps.
+    m._parents.setdefault(a, set()).add(b)
+    m._children.setdefault(b, set()).add(a)
+    for measure in (max_inheritance_depth, snapshot):
+        with pytest.raises(CycleError, match="generalization cycle"):
+            measure(m)
+    assert m.validate() == ["generalization cycle through A, B"]  # C peels off
+
+
+def test_the_loader_peel_gives_every_snapshot_its_depth(monkeypatch):
+    doc = save_model(generate_model(GeneratorSpec(Family.MIXED, 40, 5)))
+    peels = []
+    peel = ClassModel._peel
+    monkeypatch.setattr(ClassModel, "_peel", lambda self: peels.append(self) or peel(self))
+    model = load_model(doc)
+    assert astuple(snapshot(model)) == naive_snapshot(model)
+    assert len(peels) == 1  # the loader's cycle check, and nothing more
+    first = restructure(model, EngineOptions(multi_inheritance=True))
+    assert first.applications and len(peels) == 2  # the after-snapshot only
+    again = restructure(model, EngineOptions(multi_inheritance=True))
+    assert not again.applications and len(peels) == 2
+    assert again.metrics_before == first.metrics_after == snapshot(model)
+    assert model.clone()._depth == model._depth == first.metrics_after.max_inheritance_depth
+

@@ -14,7 +14,7 @@ from pullup.errors import (
     UnknownTypeError,
 )
 from pullup.model import ClassModel, Origin, PropKey
-from pullup.modelfile import save_model
+from pullup.modelfile import load_model, save_model
 
 from conftest import build_model, names
 from shapes import shapes
@@ -296,6 +296,19 @@ def test_validate_reports_a_wrong_owner_count():
         "owner count of b:T reads nothing, 1 entities declare it",
         "owner count of c:T reads 0, 0 entities declare it",
     ]
+
+
+def test_validate_reports_a_wrong_kept_depth():
+    m = build_model({"A": [], "B": [], "C": []}, edges=[("B", "A"), ("C", "B")])
+    assert m._depth is None  # peeled on first use only
+    assert m.validate() == []
+    assert m._depth is None  # a check keeps nothing
+    assert load_model(save_model(m))._depth == 2  # the loader's peel keeps it
+    m._depth = 1
+    assert m.validate() == ["kept depth reads 1, the longest chain is 2"]
+    assert m._depth == 1
+    m.delete_generalization(m.entity_id("C"), m.entity_id("B"))
+    assert m._depth is None and m.validate() == []
 
 
 def test_clone_is_equal_and_independent():
