@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .model import ClassModel, PropKey
 
@@ -121,9 +121,11 @@ class SharingIndex:
 
     It holds each key's owners in the set, the keys of every owner set of
     two or more entities (only those can fire a rule), and a heap of those
-    owner sets by ``rank_key``. An update pushes a fresh entry for every
-    owner set whose key count changed; an entry whose count is no longer
-    current is stale and dropped when it reaches the top.
+    owner sets by ``rank_key``. It keeps no copy of its members' keys: an
+    update reads them from the model and is told the keys they lost. It
+    pushes a fresh entry for every owner set whose key count changed; an
+    entry whose count is no longer current is stale and dropped when it
+    reaches the top.
 
     The top level files only the classes that declare a duplicated key
     (``sharing_classes``). No firing gives a key another owner, so another
@@ -138,8 +140,7 @@ class SharingIndex:
             members = [eid for eid in sharing_classes(model) if not parents.get(eid)]
         else:
             members = model.child_map().get(parent, ())
-        self._keys = {eid: model.entity(eid).prop_keys() for eid in members}
-        groups = _groups(model, self._keys)
+        groups = _groups(model, members)
         self._owners = {key: ids for ids, keys in groups.items() for key in keys}
         self._groups = {ids: set(keys) for ids, keys in groups.items() if len(ids) > 1}
         self._heap = [self._entry(ids) for ids in self._groups]
@@ -161,29 +162,27 @@ class SharingIndex:
             heappop(heap)
         return None
 
-    def update(self, eids: Iterable[int]) -> None:
-        """Re-read whether each of ``eids`` is in the set, and its
-        declarations. A class without parents sits below ``None``."""
-        model, parents = self._model, self._model.parent_map()
+    def update(self, eids: Iterable[int], lost: Collection[PropKey]) -> None:
+        """Re-read whether each of ``eids`` is in the set, and its declarations,
+        given every key ``lost`` that one of them ceased to declare since the
+        last update. A class without parents sits below ``None``."""
+        model, parents, owners = self._model, self._model.parent_map(), self._owners
         gone: dict[PropKey, set[int]] = {}
         came: dict[PropKey, set[int]] = {}
         for eid in eids:
-            old = self._keys.pop(eid, set())
+            own = model.entity(eid).prop_keys()
             member = self._parent in (parents.get(eid) or (None,))
-            new = model.entity(eid).prop_keys() if member else set()
-            if new:
-                self._keys[eid] = new
-            for key in old - new:
-                gone.setdefault(key, set()).add(eid)
-            for key in new - old:
-                came.setdefault(key, set()).add(eid)
+            for key in own.union(lost):
+                filed = eid in owners.get(key, ())
+                if filed != (member and key in own):
+                    (gone if filed else came).setdefault(key, set()).add(eid)
 
         changed: set[frozenset[int]] = set()
         for key in gone.keys() | came.keys():
-            before = self._owners.pop(key, frozenset())
+            before = owners.pop(key, frozenset())
             after = before.difference(gone.get(key, ())).union(came.get(key, ()))
             if after:
-                self._owners[key] = after
+                owners[key] = after
             if len(before) > 1:
                 self._groups[before].discard(key)
                 changed.add(before)

@@ -197,7 +197,7 @@ class _CoreState:
             sups = parents.get(eid) or (None,)
             sets.update(sups if len(sups) <= n else indexes.keys() & sups)
         for parent in indexes.keys() & sets:
-            indexes[parent].update(changed)
+            indexes[parent].update(changed, app.keys)  # the only keys it took
 
 
 def pass_rules_1_2(state: _CoreState) -> bool:

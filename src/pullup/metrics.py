@@ -28,9 +28,10 @@ def max_inheritance_depth(model: ClassModel) -> int:
     """Length of the longest generalization chain (0 for a flat model), which
     the model keeps from its last Kahn peel (the loader's cycle check runs
     one) until an edge changes. ``CycleError`` on a cyclic hierarchy."""
-    if model._depth is None and model._peel():
+    depth = model._kept_depth()
+    if depth is None:
         raise CycleError("generalization cycle; validate() names its classes")
-    return model._depth
+    return depth
 
 
 def top_level_count(model: ClassModel) -> int:

@@ -6,8 +6,9 @@ entity's direct superclasses in a parent map, mirrored by a child map.
 The public mutations check their preconditions and leave the model untouched
 on failure; ``ClassModel._link``, the one unchecked writer (of an edge), is
 for callers that have checked already. :meth:`ClassModel.validate` re-checks
-every invariant from the data itself. :class:`ModelBuilder` fills a fresh
-model for the loader, whose cycle check yields the depth the model keeps.
+every invariant from the data itself. ``ClassModel._kept_depth`` alone keeps
+the longest chain, peeled once after an edge change. :class:`ModelBuilder`
+fills a fresh model for the loader, whose cycle check is that peel.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class ClassModel:
         # Owners per declared key, built on first use, then kept by
         # add_property and delete_property; a key with no owner is absent.
         self._owner_count: Optional[Counter[PropKey]] = None
-        self._depth: Optional[int] = None  # the longest chain, until an edge changes
+        self._depth: Optional[int] = None  # the longest chain; see _kept_depth
 
     # -- types ------------------------------------------------------------
 
@@ -352,19 +353,18 @@ class ClassModel:
         for sub, sup in sorted(edges ^ mirrored):
             side = "parent" if (sub, sup) in edges else "child"
             violations.append(f"generalization ({sub} -> {sup}) is only in the {side} map")
-        kept, stuck = self._depth, self._peel()
+        stuck, depth = self._peel()
         if stuck:
             names = ", ".join(sorted(self._entities[i].name for i in stuck))
             violations.append(f"generalization cycle through {names}")
-        elif kept not in (None, self._depth):
-            violations.append(f"kept depth reads {kept}, the longest chain is {self._depth}")
-        self._depth = kept  # a check changes nothing
+        elif self._depth not in (None, depth):
+            violations.append(f"kept depth reads {self._depth}, the longest chain is {depth}")
         return violations
 
-    def _peel(self) -> set[int]:
+    def _peel(self) -> tuple[set[int], int]:
         """Kahn's peel from the leaves up, a layer at a time (a class leaves once
-        its subclasses have): the classes on or behind a cycle. Keep the layer
-        count less one, the longest chain, as the depth; None on a cycle."""
+        its subclasses have): the classes on or behind a cycle, and the layer
+        count less one, the longest chain when there is no cycle."""
         entities, parents = self._entities, self._parents
         waiting = dict.fromkeys(entities, 0)  # subclasses yet to leave
         waiting.update(Counter(sup for sub, sups in parents.items() if sub in entities
@@ -380,8 +380,16 @@ class ClassModel:
                         if not n:
                             above.append(sup)
             layer = above
-        self._depth = None if waiting else max(depth, 0)
-        return set(waiting)
+        return set(waiting), max(depth, 0)
+
+    def _kept_depth(self) -> Optional[int]:
+        """The longest chain, ``None`` on a cycle. The one method that stores a
+        peeled depth: it peels only after an edge change reset ``_depth``,
+        and keeps the result until the next."""
+        if self._depth is None:
+            stuck, depth = self._peel()
+            self._depth = None if stuck else depth
+        return self._depth
 
     # -- copying ----------------------------------------------------------
 
@@ -416,9 +424,9 @@ _new_tuple = tuple.__new__
 
 class ModelBuilder:
     """Builds a :class:`ClassModel` in one pass over a document's directives:
-    types, then entities, each followed by its properties. Generalizations
-    are collected and added by :meth:`finish`, so they may name entities
-    declared later.
+    entities, each followed by its properties; types go to the model's own
+    ``add_type``. Generalizations are collected and added by :meth:`finish`,
+    so they may name entities declared later.
 
     Names are not matched against ``_NAME_RE`` again: the loader passes only
     tokens that ``str.split`` returned from a line of decoded UTF-8 without
@@ -429,33 +437,23 @@ class ModelBuilder:
 
     def __init__(self) -> None:
         self.model = ClassModel()
-        self._current: Optional[Entity] = None
         self._supers: list[tuple[int, str, int]] = []  # (sub id, super name, line)
 
-    def add_type(self, name: str) -> None:
-        types = self.model._types
-        if name not in types:
-            types.add(name)
-        else:
-            self.model.add_type(name)  # raises DuplicateNameError
-
-    def add_entity(self, name: str, origin: Origin) -> int:
-        """Add an entity and make it the one properties are added to."""
+    def add_entity(self, name: str, origin: Origin) -> Entity:
+        """Add an entity and return it, for :meth:`add_property`."""
         model = self.model
-        if name not in model._by_name:
-            self._current = model._append_entity(name, origin)
-        else:
+        if name in model._by_name:
             model.add_entity(name, origin)  # raises DuplicateNameError
-        return self._current.id
+        return model._append_entity(name, origin)
 
-    def add_property(self, name: str, type_name: str) -> None:
-        """Declare a property of the entity added last."""
+    def add_property(self, entity: Entity, name: str, type_name: str) -> None:
+        """Declare a property of ``entity``, which :meth:`add_entity` returned."""
         key = _new_tuple(PropKey, (name, type_name))
-        props = self._current.properties
+        props = entity.properties
         if type_name in self.model._types and name not in props:
             props[name] = key
         else:  # raises UnknownTypeError or DuplicateNameError
-            self.model.add_property(self._current.id, key)
+            self.model.add_property(entity.id, key)
 
     def add_super(self, sub: int, name: str, line: int) -> None:
         """Note the generalization ``sub -> name`` of document line ``line``."""
@@ -489,13 +487,13 @@ class ModelBuilder:
 
         supers = self._supers
         good = link(supers)
-        if good == len(supers) and not model._peel():
+        if good == len(supers) and model._kept_depth() is not None:
             return model
         # The edge at fault is the last of the shortest prefix that holds a
         # cycle, if a prefix of the good edges does, else the first bad edge.
         def cyclic(count: int) -> bool:
             link(supers[:count])
-            return bool(model._peel())
+            return model._kept_depth() is None
 
         fault = bisect_left(range(good + 1), True, key=cyclic) - 1
         link(supers[:fault])

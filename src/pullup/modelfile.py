@@ -22,7 +22,7 @@ document yields identical bytes.
 from __future__ import annotations
 
 from .errors import ModelError, ModelSyntaxError
-from .model import ClassModel, ModelBuilder, Origin
+from .model import ClassModel, Entity, ModelBuilder, Origin
 
 FORMAT_VERSION = 1
 _HEADER = f"classmodel v{FORMAT_VERSION}"
@@ -78,7 +78,7 @@ def load_model(data: bytes | str) -> ClassModel:
         raise ModelSyntaxError(f"empty document, expected header {_HEADER!r}")
 
     build = ModelBuilder()
-    current: int | None = None
+    current: Entity | None = None
     for lineno, raw in lines:
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
@@ -92,7 +92,7 @@ def load_model(data: bytes | str) -> ClassModel:
                     raise ModelSyntaxError(
                         "prop needs a name and a type", line=lineno
                     )
-                build.add_property(tokens[1], tokens[2])
+                build.add_property(current, tokens[1], tokens[2])
             elif directive == "super":
                 if current is None:
                     raise ModelSyntaxError("super before any entity", line=lineno)
@@ -100,7 +100,7 @@ def load_model(data: bytes | str) -> ClassModel:
                     raise ModelSyntaxError(
                         "super needs exactly one entity name", line=lineno
                     )
-                build.add_super(current, tokens[1], lineno)
+                build.add_super(current.id, tokens[1], lineno)
             elif directive == "entity":
                 if len(tokens) == 2:
                     origin = Origin.ORIGINAL
@@ -115,7 +115,7 @@ def load_model(data: bytes | str) -> ClassModel:
             elif directive == "type":
                 if len(tokens) != 2:
                     raise ModelSyntaxError("type needs exactly one name", line=lineno)
-                build.add_type(tokens[1])
+                build.model.add_type(tokens[1])
             else:
                 raise ModelSyntaxError(
                     f"unknown directive {directive!r}", line=lineno

@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import math
+import statistics
 import time
 from functools import partial
 
@@ -168,12 +169,11 @@ def test_criterion_7_oracle_equivalence_tiny_models():
 def _gate_ladder(counts, times, max_slope=2.2):
     """Gate the largest rung's time and the log-log growth slope of a ladder
     ending at ~100k elements."""
-    numpy = pytest.importorskip("numpy")
     assert counts[-1] >= 80_000  # the big run really is ~100k elements
     assert times[-1] < 60.0
-    slope = numpy.polyfit(
-        [math.log(c) for c in counts], [math.log(t) for t in times], 1
-    )[0]
+    slope = statistics.linear_regression(  # ordinary least squares
+        [math.log(c) for c in counts], [math.log(t) for t in times]
+    ).slope
     assert slope <= max_slope, (counts, times, slope)
     return (
         f"({counts[-1]} elements in {times[-1]:.1f}s, log-log slope {slope:.2f})"
@@ -183,7 +183,6 @@ def _gate_ladder(counts, times, max_slope=2.2):
 def _scaling_run(family, scales):
     """Restructure a seeded ladder of ``family`` models ending at ~100k
     elements; gate the largest run's time and the log-log growth slope."""
-    pytest.importorskip("numpy")
     counts, times = [], []
     for scale in scales:
         m = generate_model(GeneratorSpec(family, scale, seed=8))
@@ -223,7 +222,6 @@ def _lattice_document(n):
 def _load_run(document, sizes):
     """Load a ladder of documents ending at ~100k elements; gate the largest
     load's time and the log-log growth slope."""
-    pytest.importorskip("numpy")
     counts, times = [], []
     for n in sizes:
         data = document(n)
@@ -265,7 +263,6 @@ def _best_of_3_ladder(build, sizes, max_slope, min_subclasses=2):
     """Restructure a ladder of ``build(size, seed)`` models ending at ~100k
     elements, each rung timed as the best of 3. ``max_slope`` must fail a
     quadratic, which 2.2, the other ladders' bound, lets pass."""
-    pytest.importorskip("numpy")
     options = EngineOptions(multi_inheritance=True, min_subclasses=min_subclasses)
     counts, times = [], []
     for size in sizes:

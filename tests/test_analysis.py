@@ -182,7 +182,7 @@ def test_sharing_index_follows_rule3_firings(family):
         if top is None:
             break
         app = apply_shared_superclass_rule(m, None, top)
-        index.update({app.target, *app.sources})
+        index.update({app.target, *app.sources}, app.keys)
         fired += 1
     assert fired > 0 or family is Family.STAR_HIERARCHIES
 
@@ -201,7 +201,7 @@ def test_a_parent_index_follows_rule2_firings(family):
             break
         app = apply_shared_superclass_rule(m, root, top)
         # The sources have left Root's child set; the target has joined it.
-        index.update({app.target, *app.sources})
+        index.update({app.target, *app.sources}, app.keys)
         fired += 1
     assert fired > 0
 
@@ -215,7 +215,7 @@ def test_sharing_index_follows_rule1_into_top_level_superclass():
     assert names(m, index.top().owners) == ["Y", "Z"]
     s = m.entity_id("S")
     app = reference_attempt(m, s, m.child_map()[s])
-    index.update({app.target, *app.sources})
+    index.update({app.target, *app.sources}, app.keys)
     # The top-level S now declares a, like X; {S, X} ties with {Y, Z} on size
     # and frequency and wins on names.
     assert index.top() == _top_by_ranking(m)
@@ -228,7 +228,7 @@ def test_sharing_index_ranks_by_current_frequency():
     assert names(m, index.top().owners) == ["P", "Q"]  # two shared keys
     p = m.entity_id("P")
     m.delete_property(p, "y")
-    index.update({p})
+    index.update({p}, [PropKey("y", "T")])
     # Both groups now share one key; the tie goes to the names.
     assert index.top() == _top_by_ranking(m)
     assert names(m, index.top().owners) == ["C", "D"]

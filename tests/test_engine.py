@@ -298,7 +298,7 @@ def test_rule_3_index_is_built_once_and_serves_every_pass(monkeypatch, multi):
     _assert_like_reference(
         generate_model(GeneratorSpec(Family.STAR_HIERARCHIES, 60, 4)), options
     )
-    assert built == [None] and indexes[0]._keys == {}
+    assert built == [None] and indexes[0]._owners == {}
     built.clear()
     flat = generate_model(GeneratorSpec(Family.FLAT_SHARED, 60, 4))
     report = _assert_like_reference(flat, options)

@@ -175,11 +175,31 @@ def _outcome(load, data):
     )
 
 
+OPTIONS = [
+    EngineOptions(multi_inheritance=multi, min_subclasses=k)
+    for multi in (False, True)
+    for k in (1, 2, 3)
+]
+
+
 def _assert_loads_like_reference(data):
+    """Load ``data`` like the reference loader; restructure what loads under
+    every option set: a run either raises a ``ModelError`` or leaves a valid
+    model that saves, loads and saves again to the same bytes."""
     got = _outcome(load_model, data)
     assert got == _outcome(reference_load, data)
     if not isinstance(got[0], bytes):
         assert issubclass(got[0], ModelError)
+        return
+    for options in OPTIONS:
+        m = load_model(data)
+        try:
+            restructure(m, options)
+        except ModelError:
+            continue
+        assert m.validate() == []
+        saved = save_model(m)
+        assert save_model(load_model(saved)) == saved
 
 
 VOCABULARY = [

@@ -12,7 +12,8 @@ parents.
 On those shapes every leaf also keeps its flattened properties, with and
 without the multiple-inheritance pass. The shapes run a second time with
 every child set of two or more classes ranked from a sharing index, which
-the engine otherwise keeps for large sets only, and keep their ids dense.
+the engine otherwise keeps for large sets only, and keep their ids dense;
+there, after every firing, each live index holds what a fresh one would.
 """
 
 from functools import partial
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pullup import engine
+from pullup.analysis import SharingIndex
 from pullup.engine import EngineOptions, restructure
 from pullup.generate import Family, GeneratorSpec, generate_model
 from pullup.metrics import hierarchy_restriction_equal
@@ -112,6 +114,35 @@ def test_awkward_shapes_match_reference_with_every_set_indexed(model, options):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "INDEXED_CHILDREN", 2)
         assert_keeps_leaves(model, options)
+
+
+def _assert_indexes_like_fresh(state):
+    """Every live sharing index of ``state`` holds what one built fresh over
+    the same class set holds. The top level files only the classes that
+    declare a duplicated key when built, so there only the groups compare."""
+    for parent, index in state.indexes.items():
+        fresh = SharingIndex(state.model, parent)
+        assert index._groups == fresh._groups
+        assert index.top() == fresh.top()
+        if parent is not None:
+            assert index._owners == fresh._owners
+
+
+# An index is told only the keys a firing took (RuleApplication.keys); a key
+# it is not told of would leave an owner filed that no longer declares it.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=shapes(), options=st.sampled_from(OPTIONS))
+def test_live_indexes_match_fresh_ones_after_every_firing(model, options):
+    touch = engine._CoreState.touch
+
+    def checked_touch(state, app):
+        touch(state, app)
+        _assert_indexes_like_fresh(state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "INDEXED_CHILDREN", 2)
+        patch.setattr(engine._CoreState, "touch", checked_touch)
+        restructure(model, options)
 
 
 @pytest.mark.parametrize("family,scale", [("flat", 80), ("mixed", 90)])
